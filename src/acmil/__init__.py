@@ -28,7 +28,6 @@ from .errors import (
 )
 from .gradcheck import check_gradients, run_suite
 from .losses import (
-    Gradients,
     LossBreakdown,
     backward,
     bag_loss,
@@ -59,9 +58,9 @@ from .mil import (
     stkim_mask,
 )
 from .model import (
-    GatedAttentionParams,
     Model,
     ModelDims,
+    Params,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -80,14 +79,13 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "ForwardTrace",
-    "GatedAttentionParams",
     "GenerationError",
-    "Gradients",
     "LossBreakdown",
     "MetricsReport",
     "Model",
     "ModelDims",
     "NumericsError",
+    "Params",
     "Rng",
     "StkimConfig",
     "SyntheticConfig",

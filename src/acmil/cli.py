@@ -418,7 +418,7 @@ def main(argv=None) -> int:
     except AcmilError as exc:
         print(f"error:{exc.kind}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 1
 

@@ -57,17 +57,14 @@ def check_gradients(
     stkim = StkimConfig(count=mask_count, prob=mask_prob)
     mask_rng = Rng.stream(seed, 2)
     trace = mba_forward(bag, model, stkim, mask_rng, training=True)
-    frozen = [z.copy() for z in trace.masks]
+    frozen = trace.zeroed.copy()
     grads = backward(trace, bag, model)
-    names = [name for name, _ in model.parameters()]
-    params = [p for _, p in model.parameters()]
-    analytic = [grads[name] for name in names]
 
     def objective() -> float:
         replay = mba_forward(bag, model, stkim, None, training=True, frozen_masks=frozen)
         return total_loss(replay, bag.label).total
 
-    return finite_diff_check(objective, params, analytic, eps)
+    return finite_diff_check(objective, [model.flat], [grads.flat], eps)
 
 
 def run_suite(

@@ -3,34 +3,40 @@ attention-weighted aggregation and classification.
 
 One bag flows through as
 
-    H   = act(X W_e^T + b_e)                         instance embeddings
-    s_n = w . (tanh(V h_n) * sigm(U h_n))            per-branch scores
-    a^raw = softmax(s)                               pre-mask attention
-    a   = mask + renormalise (training only)         post-mask attention
-    z_i = sum_n a_in h_n                             branch embedding
-    z   = sum_n mean_i(a_in) h_n = mean_i z_i        bag embedding
+    H   = act(X W_e^T + b_e)                         (N, E) instance embeddings
+    [T; S] = [tanh(H V^T); sigm(H U^T)]              (2, N, M, L) gates
+    s_in = sum_l w_il T_nil S_nil                    (M, N) branch scores
+    A^raw = softmax(s) along instances               pre-mask attention rows
+    A   = mask + renormalise (training only)         post-mask attention rows
+    Z   = A H                                        (M, E) branch embeddings
+    z   = mean_i(A_i) H = mean_i Z_i                 (E,) bag embedding
 
-The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
-algebraically identical; the trace asserts that identity to 1e-10.
+V and U stack the M branches' (L, E) matrices, so one batched product of H
+with the (2, ML, E) stack [V; U] scores every branch; the gates are computed
+in place in that product's output buffer, whose two halves are contiguous.  The mean-of-heatmaps and
+mean-of-branch-embeddings formulations of z are algebraically identical;
+the trace asserts that identity to 1e-10.
 
 Masking zeroes each of the k largest attention values independently with
 probability p, then divides the survivors by their sum.  It is a train-time
-regulariser and is skipped at evaluation unless explicitly enabled.  If a
-draw happens to zero every surviving unit of mass the mask is discarded and
-the input returned unchanged (a logged degenerate event, reachable only
-when k >= N and p is near 1).
+regulariser and is skipped at evaluation unless explicitly enabled.  Each
+branch draws its own mask, in branch order.  If a draw happens to zero
+every surviving unit of mass the mask is discarded and the input returned
+unchanged (a logged degenerate event, reachable only when k >= N and p is
+near 1).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bags import Bag
 from .errors import ConfigError
-from .model import GatedAttentionParams, Model
+from .model import Model
 from .numerics import relu, require_finite, sigmoid, softmax, stable_argsort_desc
 from .rng import Rng
 
@@ -102,31 +108,43 @@ class MaskResult:
     renormalized: bool  # False when the op was an identity (or fallback)
 
 
-@dataclass
-class BranchTrace:
-    raw_attention: np.ndarray  # (N,) pre-mask softmax output
-    attention: np.ndarray  # (N,) post-mask, sums to 1
+class BranchView(NamedTuple):
+    """Row i of a trace's stacked per-branch arrays."""
+
+    raw_attention: np.ndarray  # (N,)
+    attention: np.ndarray  # (N,)
     zeroed: np.ndarray  # bool (N,)
     renormalized: bool
-    gate_tanh: np.ndarray  # (N, L)
-    gate_sigm: np.ndarray  # (N, L)
-    embedding: np.ndarray  # (E,) z_i
-    logits: np.ndarray  # (C,)
+    embedding: np.ndarray  # (E,)
     probs: np.ndarray  # (C,)
 
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one bag's forward pass, retained for backward."""
+    """Every intermediate of one bag's forward pass, retained for backward.
+
+    Per-branch quantities are stacked along a leading axis of M rows.
+    """
 
     pre_activations: np.ndarray  # (N, E) before the embedding nonlinearity
     embeddings: np.ndarray  # (N, E)
-    branches: list[BranchTrace]
+    gates: np.ndarray  # (2, N, M, L): tanh(H V^T) and sigm(H U^T)
+    raw_attention: np.ndarray  # (M, N) pre-mask softmax output
+    attention: np.ndarray  # (M, N) post-mask, rows sum to 1
+    zeroed: np.ndarray  # bool (M, N), True where the mask zeroed the value
+    renormalized: np.ndarray  # bool (M,)
+    branch_embeddings: np.ndarray  # (M, E)
+    branch_probs: np.ndarray  # (M, C)
     heatmap: np.ndarray  # (N,) mean of branch attentions
     bag_embedding: np.ndarray  # (E,)
     bag_logits: np.ndarray  # (C,)
     bag_probs: np.ndarray  # (C,)
-    masks: list[np.ndarray] = field(default_factory=list)  # zeroed indicators per branch
+
+    @property
+    def branches(self) -> list[BranchView]:
+        rows = (self.raw_attention, self.attention, self.zeroed, self.renormalized,
+                self.branch_embeddings, self.branch_probs)
+        return list(map(BranchView, *rows))
 
 
 def _embed(bag: Bag, model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -147,17 +165,23 @@ def embed_instances(bag: Bag, model: Model) -> np.ndarray:
     return h
 
 
-def _gated_scores(embeddings: np.ndarray, branch: GatedAttentionParams):
-    t = np.tanh(embeddings @ branch.att_v.T)  # (N, L)
-    s = sigmoid(embeddings @ branch.att_u.T)  # (N, L)
-    scores = (t * s) @ branch.att_w  # (N,)
-    return scores, t, s
+def _gates(embeddings: np.ndarray, model: Model) -> np.ndarray:
+    """(2, N, M, L) gate buffer [tanh(H V^T); sigm(H U^T)], activated in place."""
+    g = np.matmul(embeddings, model.att_vu.transpose(0, 2, 1))
+    np.tanh(g[0], out=g[0])
+    sigmoid(g[1], out=g[1])
+    return g.reshape(2, len(embeddings), model.dims.branches, model.dims.attn_dim)
 
 
-def gated_attention(embeddings: np.ndarray, branch: GatedAttentionParams) -> np.ndarray:
-    """Softmax-normalised gated attention over the bag's instances."""
-    scores, _, _ = _gated_scores(embeddings, branch)
-    return softmax(scores)
+def _scores(gates: np.ndarray, model: Model) -> np.ndarray:
+    """(M, N) scores w_i . (T_i * S_i) of every branch."""
+    t, s = gates
+    return np.einsum("nml,nml,ml->mn", t, s, model.att_w, order="C")
+
+
+def gated_attention(embeddings: np.ndarray, model: Model) -> np.ndarray:
+    """(M, N) softmax-normalised gated attention of every branch."""
+    return softmax(_scores(_gates(embeddings, model), model))
 
 
 def stkim_mask(
@@ -211,16 +235,12 @@ def aggregate(attn: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
     return attn @ embeddings
 
 
-def average_heatmap(branch_attns: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the branch heatmaps; still sums to 1."""
-    if len(branch_attns) < 1:
+def average_heatmap(branch_attns) -> np.ndarray:
+    """Elementwise mean of the branch heatmaps (rows); still sums to 1."""
+    attns = np.asarray(branch_attns, dtype=np.float64)
+    if attns.ndim != 2 or len(attns) < 1:
         raise ValueError("average_heatmap needs at least one heatmap")
-    return np.mean(np.stack(branch_attns), axis=0)
-
-
-def _head_forward(head, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logits = head.weight @ x + head.bias
-    return logits, softmax(logits)
+    return attns.mean(axis=0)
 
 
 def mba_forward(
@@ -229,54 +249,51 @@ def mba_forward(
     stkim: StkimConfig,
     rng: Rng | None,
     training: bool,
-    frozen_masks: list[np.ndarray] | None = None,
+    frozen_masks: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Full multi-branch forward pass producing a trace for backward.
 
-    Branches draw their masks independently, in branch order, from ``rng``.
-    With one branch and masking off this is exactly the classic single-head
-    gated-attention pipeline.
+    Branches draw their masks independently, in branch order, from ``rng``;
+    ``frozen_masks`` (M, N) replays recorded ones instead.  With one branch
+    and masking off this is exactly the classic single-head gated-attention
+    pipeline.
     """
     pre, h = _embed(bag, model)
-    branch_traces: list[BranchTrace] = []
-    for i, (branch, head) in enumerate(zip(model.branches, model.branch_heads)):
-        scores, t, s = _gated_scores(h, branch)
-        raw = softmax(scores)
+    gates = _gates(h, model)
+    raw = softmax(_scores(gates, model))
+    attention = raw.copy()
+    zeroed = np.zeros(raw.shape, dtype=bool)
+    renormalized = np.zeros(len(raw), dtype=bool)
+    for i, raw_i in enumerate(raw):
         frozen = frozen_masks[i] if frozen_masks is not None else None
-        masked = stkim_mask(raw, stkim, rng, training, frozen_zeroed=frozen)
-        z_i = aggregate(masked.attention, h)
-        logits_i, probs_i = _head_forward(head, z_i)
-        branch_traces.append(
-            BranchTrace(
-                raw_attention=raw,
-                attention=masked.attention,
-                zeroed=masked.zeroed,
-                renormalized=masked.renormalized,
-                gate_tanh=t,
-                gate_sigm=s,
-                embedding=z_i,
-                logits=logits_i,
-                probs=probs_i,
-            )
-        )
-    heatmap = average_heatmap([bt.attention for bt in branch_traces])
+        res = stkim_mask(raw_i, stkim, rng, training, frozen_zeroed=frozen)
+        attention[i], zeroed[i], renormalized[i] = res.attention, res.zeroed, res.renormalized
+
+    branch_embeddings = attention @ h
+    branch_logits = np.einsum("mce,me->mc", model.head_w, branch_embeddings) + model.head_b
+    heatmap = average_heatmap(attention)
     bag_embedding = aggregate(heatmap, h)
-    bag_logits, bag_probs = _head_forward(model.bag_head, bag_embedding)
+    bag_logits = model.bag_head_w @ bag_embedding + model.bag_head_b
+    bag_probs = softmax(bag_logits)
     require_finite(bag_probs, "bag probabilities")
 
-    mean_branch_embedding = np.mean(np.stack([bt.embedding for bt in branch_traces]), axis=0)
-    if np.max(np.abs(bag_embedding - mean_branch_embedding)) > 1e-10:
+    if np.max(np.abs(bag_embedding - branch_embeddings.mean(axis=0))) > 1e-10:
         raise AssertionError("heatmap-average and branch-mean bag embeddings diverged")
 
     return ForwardTrace(
         pre_activations=pre,
         embeddings=h,
-        branches=branch_traces,
+        gates=gates,
+        raw_attention=raw,
+        attention=attention,
+        zeroed=zeroed,
+        renormalized=renormalized,
+        branch_embeddings=branch_embeddings,
+        branch_probs=softmax(branch_logits),
         heatmap=heatmap,
         bag_embedding=bag_embedding,
         bag_logits=bag_logits,
         bag_probs=bag_probs,
-        masks=[bt.zeroed for bt in branch_traces],
     )
 
 
@@ -286,5 +303,4 @@ def pooling_forward(bag: Bag, model: Model, mode: str) -> np.ndarray:
         raise ConfigError(f"unknown pooling mode {mode!r}; choose from {POOLING_MODES}")
     h = embed_instances(bag, model)
     pooled = h.max(axis=0) if mode == "max" else h.mean(axis=0)
-    _, probs = _head_forward(model.bag_head, pooled)
-    return probs
+    return softmax(model.bag_head_w @ pooled + model.bag_head_b)

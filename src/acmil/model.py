@@ -4,9 +4,25 @@ The learnable pieces are one embedding layer, M gated-attention branches
 (each with its own linear classifier head) and one bag-level classifier
 head.  Branch heads share nothing with each other or with the bag head.
 
-Weights initialise uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)),
-biases zero, drawn in ``parameters()`` order from the run seed, so a model
-is a pure function of (dims, activation, seed).
+Every tensor is a view into one contiguous float64 vector ``flat``:
+
+    embed_w (E, D)     embed_b (E,)
+    att_v (M, L, E)    att_u (M, L, E)    att_w (M, L)
+    head_w (M, C, E)   head_b (M, C)
+    bag_head_w (C, E)  bag_head_b (C,)
+
+Branch tensors are stacked along a leading branch axis, and att_u follows
+att_v directly, so ``att_vu`` is the (2, ML, E) stack [V; U] that scores
+every branch in one batched product.  Gradients and the Adam moments share this
+layout, which makes the optimizer step and model copies whole-vector
+operations.
+
+``parameters()`` lists the tensors under their per-branch names in the
+checkpoint (format v1) order: embed_w, embed_b, then for each branch
+att_v, att_u, att_w, head_w, head_b, then bag_head_w, bag_head_b.  Weights
+initialise uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)), biases zero,
+drawn in that order from the run seed, so a model is a pure function of
+(dims, activation, seed).
 
 Checkpoints are JSON with every float at 17 significant digits; the
 round-trip is bit-exact.
@@ -14,7 +30,8 @@ round-trip is bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,83 +60,87 @@ class ModelDims:
             raise ConfigError("dims.classes must be >= 2")
 
 
-@dataclass
-class GatedAttentionParams:
-    """One attention branch: tanh path, sigmoid gate path and score vector."""
+def _shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    d, e, l, m, c = dims.feature_dim, dims.embed_dim, dims.attn_dim, dims.branches, dims.classes
+    return {
+        "embed_w": (e, d),
+        "embed_b": (e,),
+        "att_vu": (2, m, l, e),
+        "att_w": (m, l),
+        "head_w": (m, c, e),
+        "head_b": (m, c),
+        "bag_head_w": (c, e),
+        "bag_head_b": (c,),
+    }
 
-    att_v: np.ndarray  # (L, E) tanh path
-    att_u: np.ndarray  # (L, E) sigmoid gate path
-    att_w: np.ndarray  # (L,) score weights
 
+class Params:
+    """Every trainable tensor of one model shape, as views into ``flat``.
 
-@dataclass
-class LinearHead:
-    weight: np.ndarray  # (C, E)
-    bias: np.ndarray  # (C,)
+    Used for the model itself and for its gradients.
+    """
 
-
-@dataclass
-class Model:
-    dims: ModelDims
-    activation: str
-    embed_w: np.ndarray  # (E, D)
-    embed_b: np.ndarray  # (E,)
-    branches: list[GatedAttentionParams]
-    branch_heads: list[LinearHead]
-    bag_head: LinearHead
-    seed: int = field(default=0)
+    def __init__(self, dims: ModelDims, flat: np.ndarray | None = None):
+        shapes = _shapes(dims)
+        ends = np.cumsum([math.prod(s) for s in shapes.values()])
+        if flat is None:
+            flat = np.zeros(ends[-1])
+        if flat.shape != (ends[-1],) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ValueError(f"flat parameters must be a contiguous float64 ({ends[-1]},) vector")
+        self.dims = dims
+        self.flat = flat
+        views = [c.reshape(s) for c, s in zip(np.split(flat, ends[:-1]), shapes.values())]
+        (self.embed_w, self.embed_b, vu, self.att_w, self.head_w, self.head_b,
+         self.bag_head_w, self.bag_head_b) = views
+        self.att_v, self.att_u = vu
+        self.att_vu = vu.reshape(2, -1, dims.embed_dim)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable tensors in a fixed, documented order."""
+        """Every tensor under its format-v1 name, in v1 order (views)."""
         out = [("embed_w", self.embed_w), ("embed_b", self.embed_b)]
-        for i, (br, head) in enumerate(zip(self.branches, self.branch_heads)):
-            out.append((f"branch{i}.att_v", br.att_v))
-            out.append((f"branch{i}.att_u", br.att_u))
-            out.append((f"branch{i}.att_w", br.att_w))
-            out.append((f"branch{i}.head_w", head.weight))
-            out.append((f"branch{i}.head_b", head.bias))
-        out.append(("bag_head_w", self.bag_head.weight))
-        out.append(("bag_head_b", self.bag_head.bias))
+        for i in range(self.dims.branches):
+            out += [
+                (f"branch{i}.att_v", self.att_v[i]),
+                (f"branch{i}.att_u", self.att_u[i]),
+                (f"branch{i}.att_w", self.att_w[i]),
+                (f"branch{i}.head_w", self.head_w[i]),
+                (f"branch{i}.head_b", self.head_b[i]),
+            ]
+        out += [("bag_head_w", self.bag_head_w), ("bag_head_b", self.bag_head_b)]
         return out
 
+    def first_nonfinite(self) -> str | None:
+        """v1 name of the first tensor holding a NaN or Inf, or None."""
+        if np.all(np.isfinite(self.flat)):
+            return None
+        return next(name for name, p in self.parameters() if not np.all(np.isfinite(p)))
+
+
+class Model(Params):
+    def __init__(
+        self, dims: ModelDims, activation: str, flat: np.ndarray | None = None, seed: int = 0
+    ):
+        super().__init__(dims, flat)
+        self.activation = activation
+        self.seed = seed
+
     def copy(self) -> "Model":
-        return Model(
-            dims=self.dims,
-            activation=self.activation,
-            embed_w=self.embed_w.copy(),
-            embed_b=self.embed_b.copy(),
-            branches=[
-                GatedAttentionParams(b.att_v.copy(), b.att_u.copy(), b.att_w.copy())
-                for b in self.branches
-            ],
-            branch_heads=[LinearHead(h.weight.copy(), h.bias.copy()) for h in self.branch_heads],
-            bag_head=LinearHead(self.bag_head.weight.copy(), self.bag_head.bias.copy()),
-            seed=self.seed,
-        )
-
-
-def _uniform_fan(rng: Rng, rows: int, cols: int) -> np.ndarray:
-    s = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform_array((rows, cols), -s, s)
+        return Model(self.dims, self.activation, self.flat.copy(), self.seed)
 
 
 def init_model(dims: ModelDims, rng: Rng, activation: str = "relu", seed: int = 0) -> Model:
     """Fresh model with fan-balanced uniform weights and zero biases."""
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}; choose from {ACTIVATIONS}")
-    d, e, l, m, c = dims.feature_dim, dims.embed_dim, dims.attn_dim, dims.branches, dims.classes
-    embed_w = _uniform_fan(rng, e, d)
-    embed_b = np.zeros(e)
-    branches = []
-    heads = []
-    for _ in range(m):
-        att_v = _uniform_fan(rng, l, e)
-        att_u = _uniform_fan(rng, l, e)
-        att_w = _uniform_fan(rng, l, 1).reshape(l)
-        branches.append(GatedAttentionParams(att_v, att_u, att_w))
-        heads.append(LinearHead(_uniform_fan(rng, c, e), np.zeros(c)))
-    bag_head = LinearHead(_uniform_fan(rng, c, e), np.zeros(c))
-    return Model(dims, activation, embed_w, embed_b, branches, heads, bag_head, seed=seed)
+    model = Model(dims, activation, seed=seed)
+    for name, p in model.parameters():
+        if name.endswith("_b"):
+            continue
+        # att_w is a (L, 1) score column stored flat
+        rows, cols = p.shape if p.ndim == 2 else (p.size, 1)
+        s = np.sqrt(6.0 / (rows + cols))
+        p[...] = rng.uniform_array(p.shape, -s, s)
+    return model
 
 
 def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
@@ -136,7 +157,7 @@ def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
         "activation": model.activation,
         "seed": model.seed,
         "config": config if config is not None else {},
-        "params": {name: arr for name, arr in model.parameters()},
+        "params": dict(model.parameters()),
     }
     jsonio.dump(doc, path)
 
@@ -155,40 +176,17 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         branches=int(dd["branches"]),
         classes=int(dd["classes"]),
     )
+    model = Model(dims, str(doc["activation"]), seed=int(doc.get("seed", 0)))
+    if model.activation not in ACTIVATIONS:
+        raise DataFormatError(f"{path}: unknown activation {model.activation!r}")
     params = doc["params"]
-
-    def arr(name, shape):
+    for name, p in model.parameters():
         if name not in params:
             raise DataFormatError(f"{path}: missing parameter {name}")
         a = np.asarray(params[name], dtype=np.float64)
-        if a.shape != shape:
-            raise DataFormatError(f"{path}: parameter {name} has shape {a.shape}, want {shape}")
+        if a.shape != p.shape:
+            raise DataFormatError(f"{path}: parameter {name} has shape {a.shape}, want {p.shape}")
         if not np.all(np.isfinite(a)):
             raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
-        return a
-
-    d, e, l, m, c = dims.feature_dim, dims.embed_dim, dims.attn_dim, dims.branches, dims.classes
-    branches = []
-    heads = []
-    for i in range(m):
-        branches.append(
-            GatedAttentionParams(
-                arr(f"branch{i}.att_v", (l, e)),
-                arr(f"branch{i}.att_u", (l, e)),
-                arr(f"branch{i}.att_w", (l,)),
-            )
-        )
-        heads.append(LinearHead(arr(f"branch{i}.head_w", (c, e)), arr(f"branch{i}.head_b", (c,))))
-    model = Model(
-        dims=dims,
-        activation=str(doc["activation"]),
-        embed_w=arr("embed_w", (e, d)),
-        embed_b=arr("embed_b", (e,)),
-        branches=branches,
-        branch_heads=heads,
-        bag_head=LinearHead(arr("bag_head_w", (c, e)), arr("bag_head_b", (c,))),
-        seed=int(doc.get("seed", 0)),
-    )
-    if model.activation not in ACTIVATIONS:
-        raise DataFormatError(f"{path}: unknown activation {model.activation!r}")
+        p[...] = a
     return model, doc.get("config", {})

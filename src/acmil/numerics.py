@@ -30,19 +30,23 @@ def require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def softmax(logits) -> np.ndarray:
-    """Normalised exponentials of a 1-d vector, max-subtracted for safety."""
+    """Normalised exponentials of a vector, or of each row of a 2-d stack,
+    max-subtracted for safety."""
     x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("softmax requires a non-empty 1-d vector")
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("softmax requires a non-empty vector or stack of vectors")
     require_finite(x, "softmax input")
-    z = x - x.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for any finite input
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # tanh form is overflow-safe for any finite input; out=x works in place
+    y = np.multiply(x, 0.5, out=out, dtype=np.float64)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ best-validation model selection and per-epoch diagnostics.
 Runs are pure functions of (dataset, config, seed).  Every stochastic
 choice draws from a documented child stream of the run seed: stream 0
 initialises parameters, stream 1 + 2e shuffles epoch e, stream 2 + 2e
-drives epoch e's attention masking.  Batch size is fixed at one bag, so
+drives epoch e's attention masking.  Every step updates on one bag, so
 optimizer state is strictly sequential.
 
 Validation (and evaluation in general) runs with the stochastic masking
@@ -22,7 +22,7 @@ import numpy as np
 from .bags import Bag
 from .data import Dataset
 from .errors import ConfigError, NumericsError
-from .losses import Gradients, LossBreakdown, backward, total_loss
+from .losses import LossBreakdown, backward, diversity_loss, total_loss
 from .metrics import (
     MetricsReport,
     attention_entropy,
@@ -34,7 +34,7 @@ from .metrics import (
     v_measure,
 )
 from .mil import StkimConfig, mba_forward
-from .model import Model, ModelDims, init_model
+from .model import Model, ModelDims, Params, init_model
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
@@ -58,7 +58,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    batch_size: int = 1
     seed: int = 0
     branches: int = 5
     embed_dim: int = 64
@@ -75,8 +74,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
-        if self.batch_size != 1:
-            raise ConfigError("batch_size is fixed at 1")
         if self.branches < 1:
             raise ConfigError("branches must be >= 1")
         if self.selection_metric not in SELECTION_METRICS:
@@ -92,7 +89,6 @@ class TrainConfig:
             "beta1": self.beta1,
             "beta2": self.beta2,
             "adam_eps": self.adam_eps,
-            "batch_size": self.batch_size,
             "seed": self.seed,
             "branches": self.branches,
             "embed_dim": self.embed_dim,
@@ -178,16 +174,16 @@ def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
 
 
 class AdamState:
-    """First/second moment buffers, shape-matched to the model."""
+    """First/second moment vectors in the model's flat parameter layout."""
 
     def __init__(self, model: Model):
-        self.m = {name: np.zeros_like(p) for name, p in model.parameters()}
-        self.v = {name: np.zeros_like(p) for name, p in model.parameters()}
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
 
 
 def adam_step(
     model: Model,
-    grads: Gradients,
+    grads: Params,
     state: AdamState,
     t: int,
     lr: float,
@@ -201,24 +197,29 @@ def adam_step(
     if t < 1:
         raise ConfigError("adam step index starts at 1")
     b1, b2, eps, wd = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-    for name, p in model.parameters():
-        g = grads[name]
-        if wd != 0.0 and not cfg.decoupled_weight_decay:
-            g = g + wd * p
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.all(np.isfinite(update)):
-            raise NumericsError(f"non-finite Adam update for parameter {name}")
-        p -= update
-        if wd != 0.0 and cfg.decoupled_weight_decay:
-            p -= lr * wd * p
+    p, g, m, v = model.flat, grads.flat, state.m, state.v
+    if wd != 0.0 and not cfg.decoupled_weight_decay:
+        g = g + wd * p
+    # the textbook expressions, evaluated in place in two scratch vectors
+    u = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += u
+    np.multiply(g, 1.0 - b2, out=u)
+    u *= g
+    v *= b2
+    v += u
+    update = np.divide(m, 1.0 - b1**t, out=u)
+    update *= lr
+    denom = np.divide(v, 1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    if not np.all(np.isfinite(update)):
+        bad = Params(model.dims, update).first_nonfinite()
+        raise NumericsError(f"non-finite Adam update for parameter {bad}")
+    p -= update
+    if wd != 0.0 and cfg.decoupled_weight_decay:
+        p -= lr * wd * p
 
 
 def _selection_value(record: EpochRecord, metric: str) -> float:
@@ -242,7 +243,8 @@ def _epoch_eval(
     topk_sums = {k: 0.0 for k in cfg.topk_list}
     for i, bag in enumerate(bags):
         trace = mba_forward(bag, model, inert, None, training=False)
-        assert not any(z.any() for z in trace.masks), "masking leaked into validation"
+        if trace.zeroed.any():
+            raise AssertionError("masking leaked into validation")
         loss = total_loss(trace, bag.label, include_diversity=not cfg.disable_diversity_loss)
         sums += (loss.bag, loss.branch, loss.diversity, loss.total)
         probs[i] = trace.bag_probs
@@ -341,7 +343,7 @@ def evaluate(
     entropy_sum = 0.0
     topk_sums = {k: 0.0 for k in topk_list}
     loc_aucs: list[float] = []
-    branch_cosines: list[float] = []
+    pair_cosines: list[float] = []
     attention_export: dict[str, list[float]] = {}
     embedding_export: dict[str, list[float]] = {}
     for i, bag in enumerate(bags):
@@ -356,15 +358,8 @@ def evaluate(
             auc = instance_localization_auc(trace.heatmap, bag.instance_labels)
             if auc is not None:
                 loc_aucs.append(auc)
-        m = len(trace.branches)
-        if m >= 2:
-            pair_sum = 0.0
-            attns = [bt.attention for bt in trace.branches]
-            norms = [float(np.linalg.norm(a)) for a in attns]
-            for a in range(m):
-                for b in range(a + 1, m):
-                    pair_sum += float(np.dot(attns[a], attns[b]) / (norms[a] * norms[b]))
-            branch_cosines.append(2.0 * pair_sum / (m * (m - 1)))
+        if model.dims.branches >= 2:
+            pair_cosines.append(diversity_loss(trace.attention))
         attention_export[bag.id] = trace.heatmap.tolist()
         embedding_export[bag.id] = trace.bag_embedding.tolist()
 
@@ -385,8 +380,8 @@ def evaluate(
         instance_localization_auc=float(np.mean(loc_aucs)) if loc_aucs else None,
         n_bags=n,
         extras={
-            "mean_branch_heatmap_cosine": float(np.mean(branch_cosines))
-            if branch_cosines
+            "mean_branch_heatmap_cosine": float(np.mean(pair_cosines))
+            if pair_cosines
             else None
         },
     )

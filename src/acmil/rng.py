@@ -60,10 +60,6 @@ class Rng:
         child = _mix64(_mix64(seed) ^ _mix64(((index + 1) * _GOLDEN) & _MASK64))
         return cls(child)
 
-    def spawn(self, index: int) -> "Rng":
-        """Child stream of this generator's seed (see ``stream``)."""
-        return Rng.stream(self.seed, index)
-
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3

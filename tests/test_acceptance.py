@@ -117,10 +117,10 @@ def test_criterion_04_single_branch_reduction():
         trace = mba_forward(bag, model, stkim, rng, training=True)
         # directly coded single-head pipeline
         h = np.maximum(bag.instances @ model.embed_w.T + model.embed_b, 0.0)
-        br = model.branches[0]
-        attn = softmax((np.tanh(h @ br.att_v.T) * sigmoid(h @ br.att_u.T)) @ br.att_w)
+        v, u, w = model.att_v[0], model.att_u[0], model.att_w[0]
+        attn = softmax((np.tanh(h @ v.T) * sigmoid(h @ u.T)) @ w)
         z = attn @ h
-        probs = softmax(model.bag_head.weight @ z + model.bag_head.bias)
+        probs = softmax(model.bag_head_w @ z + model.bag_head_b)
         worst = max(
             worst,
             float(np.max(np.abs(trace.heatmap - attn))),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from acmil import jsonio
 from acmil.cli import main
 from acmil.data import load_dataset
 
+
+FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
 
 TINY_SYNTH = {
     "feature_dim": 6,
@@ -194,3 +197,20 @@ def test_grad_check_reports_failure_for_huge_eps(capsys):
     rc = main(["grad-check", "--seeds", "1", "--eps", "10.0"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_directory_passed_as_a_file_is_one_io_error_line(tiny_data, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    runs = [
+        ["train", "--data", str(folder), "--out", str(tmp_path / "run")],
+        ["eval", "--checkpoint", str(folder), "--data", str(tiny_data),
+         "--out", str(tmp_path / "eval")],
+        ["eval", "--checkpoint", str(FIXTURE), "--data", str(folder),
+         "--out", str(tmp_path / "eval")],
+    ]
+    for argv in runs:
+        assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:")
+        assert len(err.splitlines()) == 1

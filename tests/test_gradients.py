@@ -8,19 +8,24 @@ from acmil.model import ModelDims
 
 def test_gradients_match_finite_differences_across_settings():
     # 20 random (model, bag, seed) triples spanning branch counts, class
-    # counts and masking probabilities
+    # counts and masking probabilities, plus non-square cases where N, D, E,
+    # L, M and C all differ, so a swapped transpose or a mixed-up axis in the
+    # stacked layout cannot cancel out
     cases = []
     seed = 0
     for m in (1, 3, 5):
         for c in (2, 4):
             for p in (0.0, 0.6):
-                cases.append((seed, m, c, p))
+                dims = ModelDims(feature_dim=8, embed_dim=4, attn_dim=4, branches=m, classes=c)
+                cases.append((seed, dims, p, 6))
                 seed += 1
-    cases = cases[:20] + [(seed + i, 5, 4, 0.6) for i in range(max(0, 20 - len(cases)))]
+    dims = ModelDims(feature_dim=8, embed_dim=4, attn_dim=4, branches=5, classes=4)
+    cases += [(seed + i, dims, 0.6, 6) for i in range(max(0, 20 - len(cases)))]
+    non_square = ModelDims(feature_dim=8, embed_dim=6, attn_dim=5, branches=4, classes=3)
+    cases += [(20, non_square, 0.0, 7), (21, non_square, 0.6, 7)]
     worst = 0.0
-    for seed, m, c, p in cases:
-        dims = ModelDims(feature_dim=8, embed_dim=4, attn_dim=4, branches=m, classes=c)
-        err = check_gradients(seed, dims=dims, n_instances=6, mask_prob=p, eps=1e-4)
+    for seed, dims, p, n in cases:
+        err = check_gradients(seed, dims=dims, n_instances=n, mask_prob=p, eps=1e-4)
         worst = max(worst, err)
     assert worst < 1e-5
 

@@ -13,6 +13,7 @@ from acmil.losses import (
 )
 from acmil.mil import StkimConfig, mba_forward
 from acmil.model import ModelDims, init_model
+from acmil.numerics import cosine_similarity
 from acmil.rng import Rng
 
 
@@ -73,6 +74,9 @@ def test_diversity_loss_range_on_random_heatmaps():
             attns.append(raw / raw.sum())
         val = diversity_loss(attns)
         assert 0.0 <= val <= 1.0 + 1e-12
+        # reference: the pairwise loop over branches
+        pairs = [cosine_similarity(attns[i], attns[j]) for i in range(m) for j in range(i + 1, m)]
+        assert abs(val - 2.0 * sum(pairs) / (m * (m - 1))) < 1e-14
 
 
 def test_bag_loss_cases():
@@ -117,10 +121,8 @@ def test_total_loss_identical_branches_perfect_prediction():
     one_hot = np.zeros_like(trace.bag_probs)
     one_hot[label] = 1.0
     trace.bag_probs = one_hot
-    shared = trace.branches[0].attention
-    for bt in trace.branches:
-        bt.probs = one_hot.copy()
-        bt.attention = shared
+    trace.branch_probs[:] = one_hot
+    trace.attention[:] = trace.attention[0]
     lb = total_loss(trace, label)
     assert lb.total == pytest.approx(1.0, abs=1e-12)
     assert lb.diversity == pytest.approx(1.0, abs=1e-12)
@@ -144,17 +146,13 @@ def test_zero_gradient_fixed_point():
     one_hot = np.zeros_like(trace.bag_probs)
     one_hot[label] = 1.0
     trace.bag_probs = one_hot.copy()
-    for i, bt in enumerate(trace.branches):
-        bt.probs = one_hot.copy()
-        attn = np.zeros_like(bt.attention)
-        attn[i] = 1.0
-        bt.attention = attn
+    trace.branch_probs[:] = one_hot
+    trace.attention[:] = np.eye(3, 10)
     lb = total_loss(trace, label)
     assert lb.total == pytest.approx(0.0, abs=1e-12)
     grads = backward(trace, bag, model)
-    assert np.max(np.abs(grads["bag_head_b"])) < 1e-9
-    for i in range(3):
-        assert np.max(np.abs(grads[f"branch{i}.head_b"])) < 1e-9
+    assert np.max(np.abs(grads.bag_head_b)) < 1e-9
+    assert np.max(np.abs(grads.head_b)) < 1e-9
 
 
 def test_backward_clamped_probability_has_zero_head_gradient():
@@ -164,13 +162,15 @@ def test_backward_clamped_probability_has_zero_head_gradient():
     skewed[bag.label] = 1e-13
     trace.bag_probs = skewed
     grads = backward(trace, bag, model)
-    assert np.array_equal(grads["bag_head_w"], np.zeros_like(grads["bag_head_w"]))
-    assert np.array_equal(grads["bag_head_b"], np.zeros_like(grads["bag_head_b"]))
+    assert not grads.bag_head_w.any()
+    assert not grads.bag_head_b.any()
 
 
 def test_backward_shapes_match_parameters():
     trace, bag, model = make_trace(seed=17, m=3, classes=4, label=2)
     grads = backward(trace, bag, model)
-    for name, p in model.parameters():
-        assert grads[name].shape == p.shape
-        assert np.all(np.isfinite(grads[name]))
+    assert grads.flat.shape == model.flat.shape
+    for (name, p), (g_name, g) in zip(model.parameters(), grads.parameters()):
+        assert g_name == name
+        assert g.shape == p.shape
+    assert np.all(np.isfinite(grads.flat))

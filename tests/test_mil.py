@@ -16,7 +16,7 @@ from acmil.mil import (
     stkim_mask,
 )
 from acmil.model import (
-    GatedAttentionParams,
+    Model,
     ModelDims,
     init_model,
     load_checkpoint,
@@ -81,24 +81,29 @@ def test_embed_dimension_mismatch():
 def test_gated_attention_single_instance():
     model = tiny_model()
     h = Rng(0).normal_array((1, 4))
-    assert gated_attention(h, model.branches[0]).tolist() == [1.0]
+    assert gated_attention(h, model).tolist() == [[1.0], [1.0]]
 
 
 def test_gated_attention_identical_rows_uniform():
     model = tiny_model()
     h = np.tile(Rng(1).normal_array((1, 4)), (6, 1))
-    assert np.allclose(gated_attention(h, model.branches[0]), np.full(6, 1 / 6), atol=1e-12)
+    assert np.allclose(gated_attention(h, model), np.full((2, 6), 1 / 6), atol=1e-12)
 
 
 def test_gated_attention_hand_case():
-    # E = L = 1: score_n = w * tanh(v h_n) * sigm(u h_n)
-    branch = GatedAttentionParams(
-        att_v=np.array([[2.0]]), att_u=np.array([[0.0]]), att_w=np.array([1.0])
-    )
+    # E = L = 1: score_in = w_i * tanh(v_i h_n) * sigm(u_i h_n), two branches
+    model = Model(ModelDims(feature_dim=1, embed_dim=1, attn_dim=1, branches=2, classes=2), "relu")
+    model.att_v[:, 0, 0] = [2.0, -1.0]
+    model.att_u[:, 0, 0] = [0.0, 3.0]
+    model.att_w[:, 0] = [1.0, 0.5]
     h = np.array([[1.0], [-1.0]])
-    scores = [math.tanh(2.0) * 0.5, math.tanh(-2.0) * 0.5]
-    expected = softmax(np.array(scores))
-    got = gated_attention(h, branch)
+    s3 = 1.0 / (1.0 + math.exp(-3.0))  # sigm(3); sigm(-3) = 1 - s3
+    scores = [
+        [math.tanh(2.0) * 0.5, math.tanh(-2.0) * 0.5],
+        [0.5 * math.tanh(-1.0) * s3, 0.5 * math.tanh(1.0) * (1.0 - s3)],
+    ]
+    expected = np.array([softmax(np.array(row)) for row in scores])
+    got = gated_attention(h, model)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -227,11 +232,10 @@ def test_average_heatmap_cases():
 def abmil_oracle(bag, model):
     """Directly coded single-branch gated-attention pipeline."""
     h = np.maximum(bag.instances @ model.embed_w.T + model.embed_b, 0.0)
-    br = model.branches[0]
-    gate = np.tanh(h @ br.att_v.T) * sigmoid(h @ br.att_u.T)
-    attn = softmax(gate @ br.att_w)
+    gate = np.tanh(h @ model.att_v[0].T) * sigmoid(h @ model.att_u[0].T)
+    attn = softmax(gate @ model.att_w[0])
     z = attn @ h
-    probs = softmax(model.bag_head.weight @ z + model.bag_head.bias)
+    probs = softmax(model.bag_head_w @ z + model.bag_head_b)
     return attn, z, probs
 
 
@@ -289,16 +293,15 @@ def test_forward_composition_matches_component_ops():
 
     h = embed_instances(bag, model)
     attns = []
-    for i, (br, head) in enumerate(zip(model.branches, model.branch_heads)):
-        raw = gated_attention(h, br)
+    for i, raw in enumerate(gated_attention(h, model)):
         res = stkim_mask(raw, stkim, None, training=True, frozen_zeroed=trace.branches[i].zeroed)
         attns.append(res.attention)
         z_i = aggregate(res.attention, h)
-        probs_i = softmax(head.weight @ z_i + head.bias)
+        probs_i = softmax(model.head_w[i] @ z_i + model.head_b[i])
         assert np.max(np.abs(probs_i - trace.branches[i].probs)) < 1e-12
     heatmap = average_heatmap(attns)
     z = aggregate(heatmap, h)
-    probs = softmax(model.bag_head.weight @ z + model.bag_head.bias)
+    probs = softmax(model.bag_head_w @ z + model.bag_head_b)
     assert np.max(np.abs(probs - trace.bag_probs)) < 1e-12
 
 
@@ -341,7 +344,7 @@ def test_pooling_hand_case():
     bag = random_bag(6, 3, 3)
     h = embed_instances(bag, model)
     for mode, pooled in (("max", h.max(axis=0)), ("mean", h.mean(axis=0))):
-        expected = softmax(model.bag_head.weight @ pooled + model.bag_head.bias)
+        expected = softmax(model.bag_head_w @ pooled + model.bag_head_b)
         assert np.max(np.abs(pooling_forward(bag, model, mode) - expected)) < 1e-12
 
 

@@ -7,7 +7,7 @@ from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from acmil.errors import ConfigError
 from acmil.mil import StkimConfig
-from acmil.model import ModelDims, init_model
+from acmil.model import ModelDims, Params, init_model
 from acmil.optim import AdamState, TrainConfig, adam_step, cosine_lr, evaluate, train
 from acmil.rng import Rng
 
@@ -65,7 +65,7 @@ def make_model(seed=0):
 
 
 def zero_grads(model):
-    return {name: np.zeros_like(p) for name, p in model.parameters()}
+    return Params(model.dims)
 
 
 def test_adam_zero_gradient_no_decay_keeps_parameters():
@@ -80,7 +80,7 @@ def test_adam_zero_gradient_no_decay_keeps_parameters():
 def test_adam_first_step_unit_gradient():
     model = make_model()
     before = {name: p.copy() for name, p in model.parameters()}
-    grads = {name: np.ones_like(p) for name, p in model.parameters()}
+    grads = Params(model.dims, np.ones_like(model.flat))
     cfg = TrainConfig(weight_decay=0.0)
     adam_step(model, grads, AdamState(model), t=1, lr=1e-3, cfg=cfg)
     # bias correction makes m_hat = 1 and sqrt(v_hat) = 1 at t = 1
@@ -105,12 +105,11 @@ def test_adam_moments_stay_finite_and_shaped():
     cfg = TrainConfig()
     rng = Rng(3)
     for t in range(1, 6):
-        grads = {name: rng.normal_array(p.shape) for name, p in model.parameters()}
+        grads = Params(model.dims, rng.normal_array(model.flat.shape))
         adam_step(model, grads, state, t=t, lr=1e-3, cfg=cfg)
-    for name, p in model.parameters():
-        assert state.m[name].shape == p.shape
-        assert np.all(np.isfinite(state.m[name]))
-        assert np.all(np.isfinite(state.v[name]))
+    assert state.m.shape == state.v.shape == model.flat.shape
+    assert np.all(np.isfinite(state.m))
+    assert np.all(np.isfinite(state.v))
 
 
 # ---------------------------------------------------------------- training
@@ -216,8 +215,8 @@ def test_evaluate_uniform_model_has_half_auc():
     ds = tiny_dataset()
     dims = ModelDims(feature_dim=6, embed_dim=4, attn_dim=4, branches=1, classes=2)
     model = init_model(dims, Rng.stream(0, 0))
-    model.bag_head.weight[:] = 0.0
-    model.bag_head.bias[:] = 0.0
+    model.bag_head_w[:] = 0.0
+    model.bag_head_b[:] = 0.0
     report, _ = evaluate(model, ds.bags)
     assert report.macro_auc == pytest.approx(0.5, abs=1e-12)
 
