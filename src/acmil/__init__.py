@@ -14,9 +14,7 @@ from .data import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
-    load_dataset_binary,
     save_dataset,
-    save_dataset_binary,
     split_dataset,
 )
 from .errors import (
@@ -113,7 +111,6 @@ __all__ = [
     "kmeans",
     "load_checkpoint",
     "load_dataset",
-    "load_dataset_binary",
     "macro_auc",
     "macro_f1",
     "mba_forward",
@@ -121,7 +118,6 @@ __all__ = [
     "run_suite",
     "save_checkpoint",
     "save_dataset",
-    "save_dataset_binary",
     "softmax",
     "split_dataset",
     "stable_argsort_desc",

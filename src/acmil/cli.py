@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
+from .config import check_keys, decode
 from .data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
 from .errors import AcmilError, ConfigError
 from .gradcheck import ERROR_BOUND, TINY_DIMS, TINY_INSTANCES, max_suite_error, run_suite
@@ -40,6 +41,13 @@ from .optim import TrainConfig, evaluate, train
 
 DEFAULT_SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
+GEN_DATA_KEYS = ("synthetic", "split")
+SPLIT_KEYS = ("ratios", "seed")
+# command, data and variant are records that train writes into its
+# config.json; they are ignored, so that file replays as a --config
+TRAIN_KEYS = ("train", "export_attention", "export_embeddings", "command", "data", "variant")
+GRID_KEYS = ("M", "K", "fraction", "p", "disable_L_d", "presets", "n_seeds")
+
 # named masking strategies for the sweep command
 MASK_PRESETS = {
     "stkim": {"count": 10, "fraction": None, "prob": 0.6},
@@ -48,13 +56,8 @@ MASK_PRESETS = {
 }
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    doc = jsonio.load(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
+def _load_config(path, allowed, section: str = "") -> dict:
+    return {} if path is None else check_keys(jsonio.load(path), allowed, section)
 
 
 def _variant_label(cfg: TrainConfig) -> str:
@@ -64,11 +67,12 @@ def _variant_label(cfg: TrainConfig) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    doc = _load_config(args.config)
-    synth = SyntheticConfig.from_dict(doc.get("synthetic", {}))
-    split_doc = doc.get("split", {})
-    ratios = split_doc.get("ratios", list(DEFAULT_SPLIT_RATIOS))
-    split_seed = int(split_doc.get("seed", synth.seed))
+    doc = _load_config(args.config, GEN_DATA_KEYS)
+    synth = SyntheticConfig.from_dict(doc.get("synthetic", {}), "synthetic")
+    split_doc = check_keys(doc.get("split", {}), SPLIT_KEYS, "split")
+    ratios = decode(split_doc.get("ratios", DEFAULT_SPLIT_RATIOS), tuple[float, ...],
+                    "split.ratios")
+    split_seed = decode(split_doc.get("seed", synth.seed), int, "split.seed")
     ds = generate_synthetic(synth)
     ds = split_dataset(ds, ratios, split_seed)
     out = Path(args.out)
@@ -79,11 +83,9 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config_from(doc: dict, seed_flag: int | None) -> TrainConfig:
-    cfg = TrainConfig.from_dict(doc.get("train", {}))
+    cfg = TrainConfig.from_dict(doc.get("train", {}), "train")
     if seed_flag is not None:
-        d = cfg.to_dict()
-        d["seed"] = seed_flag
-        cfg = TrainConfig.from_dict(d)
+        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed_flag}, "train")
     return cfg
 
 
@@ -138,10 +140,10 @@ def _run_training(data_path: str, cfg: TrainConfig, out_dir: Path,
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, TRAIN_KEYS)
     cfg = _train_config_from(doc, args.seed)
-    export_attention = bool(doc.get("export_attention", True))
-    export_embeddings = bool(doc.get("export_embeddings", True))
+    export_attention = decode(doc.get("export_attention", True), bool, "export_attention")
+    export_embeddings = decode(doc.get("export_embeddings", True), bool, "export_embeddings")
     report = _run_training(args.data, cfg, Path(args.out), export_attention, export_embeddings)
     auc = report["macro_auc"]
     print(f"trained {_variant_label(cfg)}; test macro_auc="
@@ -187,19 +189,22 @@ def cmd_eval(args) -> int:
 
 
 def _expand_grid(base: TrainConfig, grid: dict) -> list[tuple[str, TrainConfig]]:
-    """Cells from a grid spec over branches / masking / diversity settings."""
-    known = {"M", "K", "fraction", "p", "disable_L_d", "presets", "n_seeds"}
-    unknown = set(grid) - known
-    if unknown:
-        raise ConfigError(f"grid: unknown axes {sorted(unknown)}")
+    """Cells from a grid spec over branches / masking / diversity settings.
+
+    Grid values pass through TrainConfig.from_dict uncast, so they get its
+    type checks; an error names the cell, e.g. ``grid[M2].branches``.
+    """
+
+    def cell(name: str, train: dict, stkim: dict) -> tuple[str, TrainConfig]:
+        d = base.to_dict()
+        d = {**d, **train, "stkim": {**d["stkim"], **stkim}}
+        return name, TrainConfig.from_dict(d, f"grid[{name}]")
+
     cells: list[tuple[str, TrainConfig]] = []
-    for preset in grid.get("presets", []):
+    for preset in decode(grid.get("presets", []), tuple[str, ...], "grid.presets"):
         if preset not in MASK_PRESETS:
             raise ConfigError(f"grid: unknown preset {preset!r}")
-        d = base.to_dict()
-        d["stkim"] = dict(d["stkim"])
-        d["stkim"].update(MASK_PRESETS[preset])
-        cells.append((f"preset-{preset}", TrainConfig.from_dict(d)))
+        cells.append(cell(f"preset-{preset}", {}, MASK_PRESETS[preset]))
 
     axes: list[tuple[str, list]] = []
     for key in ("M", "K", "fraction", "p", "disable_L_d"):
@@ -213,27 +218,25 @@ def _expand_grid(base: TrainConfig, grid: dict) -> list[tuple[str, TrainConfig]]
         for key, vals in axes:
             combos = [dict(c, **{key: v}) for c in combos for v in vals]
         for combo in combos:
-            d = base.to_dict()
-            d["stkim"] = dict(d["stkim"])
+            train: dict = {}
+            stkim: dict = {}
             parts = []
             if "M" in combo:
-                d["branches"] = int(combo["M"])
+                train["branches"] = combo["M"]
                 parts.append(f"M{combo['M']}")
             if "K" in combo:
-                d["stkim"]["count"] = int(combo["K"])
-                d["stkim"]["fraction"] = None
+                stkim.update(count=combo["K"], fraction=None)
                 parts.append(f"K{combo['K']}")
             if "fraction" in combo:
-                d["stkim"]["fraction"] = float(combo["fraction"])
-                d["stkim"]["count"] = None
+                stkim.update(fraction=combo["fraction"], count=None)
                 parts.append(f"f{combo['fraction']}")
             if "p" in combo:
-                d["stkim"]["prob"] = float(combo["p"])
+                stkim["prob"] = combo["p"]
                 parts.append(f"p{combo['p']}")
             if "disable_L_d" in combo:
-                d["disable_diversity_loss"] = bool(combo["disable_L_d"])
+                train["disable_diversity_loss"] = combo["disable_L_d"]
                 parts.append(f"nold{int(bool(combo['disable_L_d']))}")
-            cells.append(("-".join(parts), TrainConfig.from_dict(d)))
+            cells.append(cell("-".join(parts), train, stkim))
     if not cells:
         raise ConfigError("grid produced no cells")
     return cells
@@ -251,10 +254,10 @@ def _ablate_run(task: tuple) -> tuple[int, int, dict | None, str | None]:
 
 
 def cmd_ablate(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, TRAIN_KEYS)
     base = _train_config_from(doc, args.seed)
-    grid = _load_config(args.grid)
-    n_seeds = int(grid.get("n_seeds", 5))
+    grid = _load_config(args.grid, GRID_KEYS, "grid")
+    n_seeds = decode(grid.get("n_seeds", 5), int, "grid.n_seeds")
     if n_seeds < 1:
         raise ConfigError("grid: n_seeds must be >= 1")
     cells = _expand_grid(base, grid)

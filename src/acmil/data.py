@@ -7,32 +7,29 @@ bags carry many discriminative instances (so that concentrating attention
 on a handful is a real failure mode).  Negative (class 0) bags draw only
 from shared background patterns.
 
-Two file formats: a canonical JSON text format whose floats round-trip
-bit-exactly, and a compact binary container ("ACMB") that stores features
-as 32-bit floats and is lossy by design.  Acceptance-grade work uses the
-text format.
+Datasets are stored as canonical JSON text whose floats round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .bags import Bag
+from .config import Config
 from .errors import ConfigError, DataFormatError, GenerationError
 from .rng import Rng
 
 DATASET_FORMAT = "acmil-dataset"
 DATASET_VERSION = 1
-BINARY_MAGIC = b"ACMB"
 SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass
-class SyntheticConfig:
+class SyntheticConfig(Config):
     num_classes: int = 2
     feature_dim: int = 32
     patterns_per_class: int = 4
@@ -63,32 +60,6 @@ class SyntheticConfig:
             raise ConfigError("synthetic: cluster_std and cluster_separation must be positive")
         if self.bags_per_class < 1:
             raise ConfigError("synthetic: bags_per_class must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "patterns_per_class": self.patterns_per_class,
-            "background_patterns": self.background_patterns,
-            "cluster_std": self.cluster_std,
-            "cluster_separation": self.cluster_separation,
-            "bags_per_class": self.bags_per_class,
-            "instances_min": self.instances_min,
-            "instances_max": self.instances_max,
-            "positive_fraction_min": self.positive_fraction_min,
-            "positive_fraction_max": self.positive_fraction_max,
-            "patterns_per_bag_min": self.patterns_per_bag_min,
-            "patterns_per_bag_max": self.patterns_per_bag_max,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"synthetic: unknown fields {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -276,109 +247,44 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    doc = jsonio.load(path)
-    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-        raise DataFormatError(f"{path}: not a dataset file")
-    if doc.get("format_version") != DATASET_VERSION:
-        raise DataFormatError(f"{path}: unsupported dataset version")
-    feature_dim = int(doc["feature_dim"])
-    num_classes = int(doc["num_classes"])
-    bags = []
-    split_of = {}
-    for rec in doc["bags"]:
-        bag_id = str(rec["id"])
-        rows = rec["instances"]
-        for r, row in enumerate(rows):
-            if len(row) != feature_dim:
-                raise DataFormatError(
-                    f"{path}: bag {bag_id!r} row {r} has {len(row)} values, "
-                    f"expected feature_dim={feature_dim}"
-                )
-        features = np.asarray(rows, dtype=np.float64)
-        if features.size and not np.all(np.isfinite(features)):
-            raise DataFormatError(f"{path}: bag {bag_id!r} contains NaN/Inf features")
-        bag = Bag(
-            id=bag_id,
-            instances=features,
-            label=int(rec["label"]),
-            instance_labels=rec.get("instance_labels"),
-        )
-        bags.append(bag)
-        if "split" in rec:
-            split_of[bag_id] = str(rec["split"])
-    return Dataset(
-        feature_dim=feature_dim,
-        num_classes=num_classes,
-        bags=bags,
-        provenance=doc.get("provenance", {}),
-        split_of=split_of,
-        warnings=list(doc.get("warnings", [])),
-    )
-
-
-def save_dataset_binary(ds: Dataset, path) -> None:
-    """Compact container; features stored as float32 (lossy by design).
-
-    Layout: magic "ACMB", u32 version, then per bag: u32 id length, UTF-8
-    id, u32 label, u32 N, u32 D, N*D little-endian f32 row-major, one flag
-    byte, and (flag=1) N bytes of instance labels.  Splits and provenance
-    are not carried.
-    """
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<I", DATASET_VERSION))
-        for b in ds.bags:
-            ident = b.id.encode("utf-8")
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<III", b.label, b.n_instances, b.feature_dim))
-            fh.write(b.instances.astype("<f4").tobytes(order="C"))
-            if b.instance_labels is not None:
-                if b.instance_labels.max(initial=0) > 255 or b.instance_labels.min(initial=0) < 0:
+    try:
+        doc = jsonio.load(path)
+        if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
+            raise DataFormatError(f"{path}: not a dataset file")
+        if doc.get("format_version") != DATASET_VERSION:
+            raise DataFormatError(f"{path}: unsupported dataset version")
+        feature_dim = int(doc["feature_dim"])
+        num_classes = int(doc["num_classes"])
+        bags = []
+        split_of = {}
+        for rec in doc["bags"]:
+            bag_id = str(rec["id"])
+            rows = rec["instances"]
+            for r, row in enumerate(rows):
+                if len(row) != feature_dim:
                     raise DataFormatError(
-                        f"bag {b.id!r}: instance labels outside [0, 255] cannot be "
-                        "stored in the binary container"
+                        f"{path}: bag {bag_id!r} row {r} has {len(row)} values, "
+                        f"expected feature_dim={feature_dim}"
                     )
-                fh.write(b"\x01")
-                fh.write(bytes(int(v) for v in b.instance_labels))
-            else:
-                fh.write(b"\x00")
-
-
-def load_dataset_binary(path) -> Dataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != BINARY_MAGIC:
-        raise DataFormatError(f"{path}: bad magic bytes at offset 0")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != DATASET_VERSION:
-        raise DataFormatError(f"{path}: unsupported binary version {version}")
-    pos = 8
-    bags = []
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise DataFormatError(f"{path}: truncated record at offset {pos}")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    while pos < len(data):
-        (id_len,) = struct.unpack("<I", take(4))
-        ident = take(id_len).decode("utf-8")
-        label, n, d = struct.unpack("<III", take(12))
-        feats = np.frombuffer(take(4 * n * d), dtype="<f4").reshape(n, d).astype(np.float64)
-        (flag,) = take(1)
-        inst = np.frombuffer(take(n), dtype=np.uint8).astype(np.int64) if flag == 1 else None
-        bags.append(Bag(id=ident, instances=feats, label=int(label), instance_labels=inst))
-    if not bags:
-        raise DataFormatError(f"{path}: container holds no bags")
-    feature_dim = bags[0].feature_dim
-    num_classes = max(b.label for b in bags) + 1
-    return Dataset(
-        feature_dim=feature_dim,
-        num_classes=max(num_classes, 2),
-        bags=bags,
-        provenance={"kind": "external", "path": str(path)},
-    )
+            features = np.asarray(rows, dtype=np.float64)
+            if features.size and not np.all(np.isfinite(features)):
+                raise DataFormatError(f"{path}: bag {bag_id!r} contains NaN/Inf features")
+            bag = Bag(
+                id=bag_id,
+                instances=features,
+                label=int(rec["label"]),
+                instance_labels=rec.get("instance_labels"),
+            )
+            bags.append(bag)
+            if "split" in rec:
+                split_of[bag_id] = str(rec["split"])
+        return Dataset(
+            feature_dim=feature_dim,
+            num_classes=num_classes,
+            bags=bags,
+            provenance=doc.get("provenance", {}),
+            split_of=split_of,
+            warnings=list(doc.get("warnings", [])),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed dataset ({type(exc).__name__}: {exc})") from exc

@@ -15,21 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .losses import LossBreakdown
 from .rng import Rng
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank block."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[block]
 
 
 def binary_auc(scores, labels) -> float | None:
@@ -189,6 +182,7 @@ class MetricsReport:
     instance_localization_auc: float | None = None
     n_bags: int = 0
     extras: dict = field(default_factory=dict)
+    loss: LossBreakdown | None = None  # mean over the bags; not in to_dict or the summary
 
     def to_dict(self) -> dict:
         doc = {

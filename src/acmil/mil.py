@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bags import Bag
+from .config import Config
 from .errors import ConfigError
 from .model import Model
 from .numerics import relu, require_finite, sigmoid, softmax, stable_argsort_desc
@@ -46,7 +47,7 @@ POOLING_MODES = ("max", "mean")
 
 
 @dataclass
-class StkimConfig:
+class StkimConfig(Config):
     """Masking intensity: a top-k size (count or bag fraction) and a probability.
 
     Exactly one of ``count`` / ``fraction`` is set.  ``enabled_at_eval``
@@ -79,26 +80,12 @@ class StkimConfig:
             return min(self.count, n)
         return min(max(1, int(np.floor(self.fraction * n + 0.5))), n)
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "fraction": self.fraction,
-            "prob": self.prob,
-            "enabled_at_eval": self.enabled_at_eval,
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "StkimConfig":
-        count = d.get("count")
-        fraction = d.get("fraction")
-        if "count" not in d and "fraction" not in d:
-            count = 10  # constructor default
-        return cls(
-            count=count,
-            fraction=fraction,
-            prob=float(d.get("prob", 0.6)),
-            enabled_at_eval=bool(d.get("enabled_at_eval", False)),
-        )
+    def from_dict(cls, doc, path: str | None = None) -> "StkimConfig":
+        # naming a fraction but no count asks for count=None, not the default
+        if isinstance(doc, dict) and "fraction" in doc and "count" not in doc:
+            doc = {**doc, "count": None}
+        return super().from_dict(doc, path)
 
 
 @dataclass

@@ -163,30 +163,39 @@ def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    doc = jsonio.load(path)
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(f"{path}: not a checkpoint file")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version")
-    dd = doc["dims"]
-    dims = ModelDims(
-        feature_dim=int(dd["feature_dim"]),
-        embed_dim=int(dd["embed_dim"]),
-        attn_dim=int(dd["attn_dim"]),
-        branches=int(dd["branches"]),
-        classes=int(dd["classes"]),
-    )
-    model = Model(dims, str(doc["activation"]), seed=int(doc.get("seed", 0)))
-    if model.activation not in ACTIVATIONS:
-        raise DataFormatError(f"{path}: unknown activation {model.activation!r}")
-    params = doc["params"]
-    for name, p in model.parameters():
-        if name not in params:
-            raise DataFormatError(f"{path}: missing parameter {name}")
-        a = np.asarray(params[name], dtype=np.float64)
-        if a.shape != p.shape:
-            raise DataFormatError(f"{path}: parameter {name} has shape {a.shape}, want {p.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
-        p[...] = a
-    return model, doc.get("config", {})
+    try:
+        doc = jsonio.load(path)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise DataFormatError(f"{path}: not a checkpoint file")
+        if doc.get("format_version") != CHECKPOINT_VERSION:
+            raise DataFormatError(f"{path}: unsupported checkpoint version")
+        dd = doc["dims"]
+        dims = ModelDims(
+            feature_dim=int(dd["feature_dim"]),
+            embed_dim=int(dd["embed_dim"]),
+            attn_dim=int(dd["attn_dim"]),
+            branches=int(dd["branches"]),
+            classes=int(dd["classes"]),
+        )
+        model = Model(dims, str(doc["activation"]), seed=int(doc.get("seed", 0)))
+        if model.activation not in ACTIVATIONS:
+            raise DataFormatError(f"{path}: unknown activation {model.activation!r}")
+        params = doc["params"]
+        for name, p in model.parameters():
+            if name not in params:
+                raise DataFormatError(f"{path}: missing parameter {name}")
+            a = np.asarray(params[name], dtype=np.float64)
+            if a.shape != p.shape:
+                raise DataFormatError(
+                    f"{path}: parameter {name} has shape {a.shape}, want {p.shape}"
+                )
+            if not np.all(np.isfinite(a)):
+                raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
+            p[...] = a
+        config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise DataFormatError(f"{path}: checkpoint config must be an object")
+        return model, config
+    except (KeyError, TypeError, ValueError) as exc:
+        kind = type(exc).__name__
+        raise DataFormatError(f"{path}: malformed checkpoint ({kind}: {exc})") from exc

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bags import Bag
+from .config import Config
 from .data import Dataset
 from .errors import ConfigError, NumericsError
 from .losses import LossBreakdown, backward, diversity_loss, total_loss
@@ -51,7 +52,7 @@ def _mask_stream(epoch: int) -> int:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     epochs: int = 100
     lr0: float = 1e-4
     weight_decay: float = 1e-4
@@ -78,41 +79,16 @@ class TrainConfig:
             raise ConfigError("branches must be >= 1")
         if self.selection_metric not in SELECTION_METRICS:
             raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be positive")
         if not self.topk_list:
             raise ConfigError("topk_list must not be empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr0": self.lr0,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "branches": self.branches,
-            "embed_dim": self.embed_dim,
-            "attn_dim": self.attn_dim,
-            "activation": self.activation,
-            "stkim": self.stkim.to_dict(),
-            "selection_metric": self.selection_metric,
-            "disable_diversity_loss": self.disable_diversity_loss,
-            "decoupled_weight_decay": self.decoupled_weight_decay,
-            "topk_list": list(self.topk_list),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"train config: unknown fields {sorted(unknown)}")
-        kwargs = dict(d)
-        if "stkim" in kwargs:
-            kwargs["stkim"] = StkimConfig.from_dict(kwargs["stkim"])
-        if "topk_list" in kwargs:
-            kwargs["topk_list"] = tuple(int(k) for k in kwargs["topk_list"])
-        return cls(**kwargs)
+        if min(self.topk_list) < 1:
+            raise ConfigError("topk_list entries must be >= 1")
 
 
 @dataclass
@@ -228,36 +204,6 @@ def _selection_value(record: EpochRecord, metric: str) -> float:
     return record.val_macro_f1
 
 
-def _epoch_eval(
-    model: Model,
-    bags: list[Bag],
-    cfg: TrainConfig,
-) -> tuple[LossBreakdown, float | None, float, float, dict[int, float]]:
-    """Validation pass with masking off; returns mean losses and metrics."""
-    inert = StkimConfig(count=0, prob=0.0)
-    n = len(bags)
-    sums = np.zeros(4)
-    probs = np.empty((n, model.dims.classes))
-    labels = np.empty(n, dtype=np.int64)
-    entropy_sum = 0.0
-    topk_sums = {k: 0.0 for k in cfg.topk_list}
-    for i, bag in enumerate(bags):
-        trace = mba_forward(bag, model, inert, None, training=False)
-        if trace.zeroed.any():
-            raise AssertionError("masking leaked into validation")
-        loss = total_loss(trace, bag.label, include_diversity=not cfg.disable_diversity_loss)
-        sums += (loss.bag, loss.branch, loss.diversity, loss.total)
-        probs[i] = trace.bag_probs
-        labels[i] = bag.label
-        entropy_sum += attention_entropy(trace.heatmap)
-        for k in cfg.topk_list:
-            topk_sums[k] += topk_cumulative(trace.heatmap, k)
-    mean_loss = LossBreakdown(*(sums / n))
-    auc, _ = macro_auc(probs, labels, model.dims.classes) if n >= 2 else (None, [])
-    f1, _ = macro_f1(probs.argmax(axis=1), labels, model.dims.classes)
-    return mean_loss, auc, f1, entropy_sum / n, {k: s / n for k, s in topk_sums.items()}
-
-
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     """Train on the dataset's train split, selecting the best-validation epoch."""
     train_bags = dataset.bags_in("train")
@@ -295,16 +241,17 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
             adam_step(model, grads, state, t, lr, cfg)
             sums += (loss.bag, loss.branch, loss.diversity, loss.total)
         train_mean = LossBreakdown(*(sums / len(train_bags)))
-        val_loss, val_auc, val_f1, val_entropy, val_topk = _epoch_eval(model, val_bags, cfg)
+        val, _ = evaluate(model, val_bags, topk_list=cfg.topk_list,
+                          include_diversity=not cfg.disable_diversity_loss)
         record = EpochRecord(
             epoch=epoch,
             lr=lr,
             train_loss=train_mean,
-            val_loss=val_loss,
-            val_macro_auc=val_auc,
-            val_macro_f1=val_f1,
-            val_attention_entropy=val_entropy,
-            val_topk=val_topk,
+            val_loss=val.loss,
+            val_macro_auc=val.macro_auc,
+            val_macro_f1=val.macro_f1,
+            val_attention_entropy=val.mean_attention_entropy,
+            val_topk=val.mean_topk_cumulative,
         )
         records.append(record)
         value = _selection_value(record, cfg.selection_metric)
@@ -323,12 +270,15 @@ def evaluate(
     eval_seed: int = 0,
     topk_list: tuple[int, ...] = (10,),
     kmeans_seed: int = 0,
+    include_diversity: bool = True,
 ) -> tuple[MetricsReport, dict]:
     """Metrics report plus raw per-bag attention/embedding exports.
 
     Masking is removed unless ``stkim_at_eval`` re-enables it (for the
     test-time-masking ablation), in which case draws come from a stream of
-    ``eval_seed``.
+    ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
+    the diversity term only if ``include_diversity``; training validates
+    each epoch through this pass.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -340,6 +290,7 @@ def evaluate(
     probs = np.empty((n, c))
     labels = np.empty(n, dtype=np.int64)
     embeddings = np.empty((n, model.dims.embed_dim))
+    loss_sums = np.zeros(4)
     entropy_sum = 0.0
     topk_sums = {k: 0.0 for k in topk_list}
     loc_aucs: list[float] = []
@@ -348,6 +299,10 @@ def evaluate(
     embedding_export: dict[str, list[float]] = {}
     for i, bag in enumerate(bags):
         trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval)
+        if not masking_active and trace.zeroed.any():
+            raise AssertionError("masking leaked into validation")
+        loss = total_loss(trace, bag.label, include_diversity=include_diversity)
+        loss_sums += (loss.bag, loss.branch, loss.diversity, loss.total)
         probs[i] = trace.bag_probs
         labels[i] = bag.label
         embeddings[i] = trace.bag_embedding
@@ -379,6 +334,7 @@ def evaluate(
         v_measure=vm,
         instance_localization_auc=float(np.mean(loc_aucs)) if loc_aucs else None,
         n_bags=n,
+        loss=LossBreakdown(*(loss_sums / n)),
         extras={
             "mean_branch_heatmap_cosine": float(np.mean(pair_cosines))
             if pair_cosines

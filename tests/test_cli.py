@@ -214,3 +214,67 @@ def test_directory_passed_as_a_file_is_one_io_error_line(tiny_data, tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith("error:io:")
         assert len(err.splitlines()) == 1
+
+
+GOOD_DATASET = {
+    "format": "acmil-dataset", "format_version": 1, "feature_dim": 2, "num_classes": 2,
+    "bags": [{"id": "b0", "label": 0, "split": "train", "instances": [[0.5, 1.5]]}],
+}
+NO_FEATURE_DIM = {k: v for k, v in GOOD_DATASET.items() if k != "feature_dim"}
+BAD_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="x")])
+NO_DIMS = {k: v for k, v in jsonio.load(FIXTURE).items() if k != "dims"}
+
+# (command, config, grid, dataset, checkpoint, error prefix, text the line names)
+ERROR_CASES = {
+    "misspelt-section": ("train", {"trian": {"epochs": 1}}, None, None, None,
+                         "error:config:", "trian"),
+    "unknown-stkim-key": ("train", {"train": {"stkim": {"cnt": 3}}}, None, None, None,
+                          "error:config:", "train.stkim.cnt"),
+    "string-epochs": ("train", {"train": {"epochs": "3"}}, None, None, None,
+                      "error:config:", "train.epochs"),
+    "bool-for-int": ("train", {"train": {"branches": True}}, None, None, None,
+                     "error:config:", "train.branches"),
+    "nan-float": ("train", {"train": {"lr0": float("nan")}}, None, None, None,
+                  "error:config:", "train.lr0"),
+    "topk-zero": ("train", {"train": {"topk_list": [0]}}, None, None, None,
+                  "error:config:", "topk_list"),
+    "beta1-one": ("train", {"train": {"beta1": 1}}, None, None, None,
+                  "error:config:", "beta1"),
+    "string-export": ("train", {"export_attention": "false"}, None, None, None,
+                      "error:config:", "export_attention"),
+    "grid-string-M": ("ablate", None, {"M": ["a"]}, None, None,
+                      "error:config:", "grid[Ma].branches"),
+    "grid-string-n-seeds": ("ablate", None, {"M": [1], "n_seeds": "2"}, None, None,
+                            "error:config:", "grid.n_seeds"),
+    "gen-data-unknown-key": ("gen-data", {"synthetic": {}, "splits": {}}, None, None, None,
+                             "error:config:", "splits"),
+    "gen-data-string-split-seed": ("gen-data", {"split": {"seed": "x"}}, None, None, None,
+                                   "error:config:", "split.seed"),
+    "dataset-missing-key": ("train", None, None, NO_FEATURE_DIM, None,
+                            "error:data-format:", "feature_dim"),
+    "dataset-bad-label": ("train", None, None, BAD_LABEL, None,
+                          "error:data-format:", "malformed dataset"),
+    "checkpoint-missing-key": ("eval", None, None, GOOD_DATASET, NO_DIMS,
+                               "error:data-format:", "dims"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_is_one_error_line(case, tmp_path, capsys):
+    command, config, grid, dataset, checkpoint, prefix, names = ERROR_CASES[case]
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command != "gen-data":
+        data = dataset if dataset is not None else GOOD_DATASET
+        argv += ["--data", write_json(tmp_path / "data.json", data)]
+    if config is not None:
+        argv += ["--config", write_json(tmp_path / "config.json", config)]
+    if command == "ablate":
+        argv += ["--grid", write_json(tmp_path / "grid.json", grid)]
+    if command == "eval":
+        argv += ["--checkpoint", write_json(tmp_path / "ckpt.json", checkpoint)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(prefix)
+    assert names in err
+    assert not (tmp_path / "out").exists()

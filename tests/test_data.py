@@ -7,9 +7,7 @@ from acmil.data import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
-    load_dataset_binary,
     save_dataset,
-    save_dataset_binary,
     split_dataset,
 )
 from acmil.errors import ConfigError, DataFormatError
@@ -190,34 +188,6 @@ def test_split_validates_ratios():
         split_dataset(ds, (-0.2, 0.6, 0.6), 0)
     with pytest.raises(ConfigError):
         split_dataset(ds, (0.5, 0.5), 0)
-
-
-def test_binary_round_trip_is_float32_lossy(tmp_path):
-    ds = generate_synthetic(small_config(seed=11))
-    path = tmp_path / "ds.acmb"
-    save_dataset_binary(ds, path)
-    loaded = load_dataset_binary(path)
-    assert len(loaded.bags) == len(ds.bags)
-    for a, b in zip(ds.bags, loaded.bags):
-        assert a.id == b.id and a.label == b.label
-        assert np.array_equal(b.instances, a.instances.astype(np.float32).astype(np.float64))
-        assert np.array_equal(a.instance_labels, b.instance_labels)
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.acmb"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(DataFormatError, match="magic"):
-        load_dataset_binary(path)
-
-
-def test_binary_rejects_truncation(tmp_path):
-    ds = generate_synthetic(small_config())
-    path = tmp_path / "ds.acmb"
-    save_dataset_binary(ds, path)
-    (tmp_path / "cut.acmb").write_bytes(path.read_bytes()[:-7])
-    with pytest.raises(DataFormatError, match="truncated"):
-        load_dataset_binary(tmp_path / "cut.acmb")
 
 
 def test_dataset_rejects_duplicate_ids():

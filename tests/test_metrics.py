@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acmil.metrics import (
+    _rank_with_ties,
     attention_entropy,
     binary_auc,
     instance_localization_auc,
@@ -32,7 +33,30 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def loop_ranks(values):
+    """Reference: walk the sorted values, averaging each block of ties."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 # ---------------------------------------------------------------- auc
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 2000])
+def test_ranks_match_the_loop_reference_exactly(n):
+    rng = Rng(n)
+    for values in (rng.normal_array((n,)),
+                   np.floor(rng.uniform_array((n,), 0.0, 5.0)),  # tied blocks
+                   np.full(n, 0.25)):
+        assert np.array_equal(_rank_with_ties(values), loop_ranks(values))
 
 
 def test_binary_auc_perfect_separation():
@@ -44,9 +68,14 @@ def test_binary_auc_constant_scores():
 
 
 def test_binary_auc_six_bag_hand_case():
-    scores = [0.1, 0.4, 0.35, 0.8, 0.65, 0.9]
-    labels = [0, 0, 1, 1, 0, 1]
-    assert binary_auc(scores, labels) == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+    cases = [
+        ([0.1, 0.4, 0.35, 0.8, 0.65, 0.9], [0, 0, 1, 1, 0, 1]),
+        ([0.4, 0.1, 0.4, 0.9, 0.1, 0.4, 0.9], [1, 0, 0, 1, 1, 0, 1]),  # tied blocks
+        ([0.3] * 7, [1, 0, 0, 1, 1, 0, 1]),  # all equal
+    ]
+    for scores, labels in cases:
+        expected = brute_force_auc(scores, labels)
+        assert binary_auc(scores, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_binary_auc_single_class_absent():
