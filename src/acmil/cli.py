@@ -32,12 +32,13 @@ import numpy as np
 
 from . import jsonio
 from .config import check_keys, decode
-from .data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
+from .data import (Dataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset,
+                   split_dataset)
 from .errors import AcmilError, ConfigError
 from .gradcheck import ERROR_BOUND, TINY_DIMS, TINY_INSTANCES, max_suite_error, run_suite
 from .mil import StkimConfig
 from .model import ModelDims, load_checkpoint, save_checkpoint
-from .optim import TrainConfig, evaluate, train
+from .optim import TrainConfig, check_topk_list, evaluate, train
 
 DEFAULT_SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
@@ -96,6 +97,12 @@ def _require_split(ds, name: str):
     return bags
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_run_outputs(out_dir: Path, cfg: TrainConfig, model, history, report, exports,
                        data_path: str, export_attention: bool, export_embeddings: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,19 +123,17 @@ def _write_run_outputs(out_dir: Path, cfg: TrainConfig, model, history, report, 
         "metrics": report.to_dict(),
     }
     jsonio.dump(report_doc, out_dir / "report.json")
-    with open(out_dir / "report_row.csv", "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.summary_header())
-        writer.writerow(report.summary_row())
+    jsonio.write_text(out_dir / "report_row.csv",
+                      _csv_text([report.summary_header(), report.summary_row()]))
     if export_attention:
         jsonio.dump(exports["attention"], out_dir / "attention.json")
     if export_embeddings:
         jsonio.dump(exports["embeddings"], out_dir / "embeddings.json")
 
 
-def _run_training(data_path: str, cfg: TrainConfig, out_dir: Path,
+def _run_training(ds: Dataset, data_path: str, cfg: TrainConfig, out_dir: Path,
                   export_attention: bool, export_embeddings: bool) -> dict:
-    ds = load_dataset(data_path)
+    """Train on ``ds`` and write the run directory; ``data_path`` is recorded."""
     _require_split(ds, "train")
     _require_split(ds, "val")
     test_bags = _require_split(ds, "test")
@@ -144,7 +149,8 @@ def cmd_train(args) -> int:
     cfg = _train_config_from(doc, args.seed)
     export_attention = decode(doc.get("export_attention", True), bool, "export_attention")
     export_embeddings = decode(doc.get("export_embeddings", True), bool, "export_embeddings")
-    report = _run_training(args.data, cfg, Path(args.out), export_attention, export_embeddings)
+    report = _run_training(load_dataset(args.data), args.data, cfg, Path(args.out),
+                           export_attention, export_embeddings)
     auc = report["macro_auc"]
     print(f"trained {_variant_label(cfg)}; test macro_auc="
           f"{'n/a' if auc is None else format(auc, '.4f')}")
@@ -153,12 +159,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, ckpt_cfg = load_checkpoint(args.checkpoint)
+    stkim = (StkimConfig.from_dict(ckpt_cfg["stkim"], "checkpoint config.stkim")
+             if "stkim" in ckpt_cfg else None)
+    path = "checkpoint config.topk_list"
+    topk = check_topk_list(decode(ckpt_cfg.get("topk_list", [10]), tuple[int, ...], path), path)
     ds = load_dataset(args.data)
     bags = _require_split(ds, args.split) if args.split != "all" else ds.bags
     if not bags:
         raise ConfigError("no bags to evaluate")
-    stkim = StkimConfig.from_dict(ckpt_cfg["stkim"]) if "stkim" in ckpt_cfg else None
-    topk = tuple(int(k) for k in ckpt_cfg.get("topk_list", [10]))
     report, exports = evaluate(
         model,
         bags,
@@ -242,15 +250,28 @@ def _expand_grid(base: TrainConfig, grid: dict) -> list[tuple[str, TrainConfig]]
     return cells
 
 
-def _ablate_run(task: tuple) -> tuple[int, int, dict | None, str | None]:
+def _ablate_run(task: tuple, ds: Dataset) -> tuple[int, int, dict | None, str | None]:
     """One (cell, seed) training; returns metrics or the failure message."""
     cell_index, seed_index, data_path, cfg_dict, run_dir = task
     try:
         cfg = TrainConfig.from_dict(cfg_dict)
-        report = _run_training(data_path, cfg, Path(run_dir), False, False)
+        report = _run_training(ds, data_path, cfg, Path(run_dir), False, False)
         return cell_index, seed_index, report, None
     except Exception as exc:  # recorded per cell; the sweep continues
         return cell_index, seed_index, None, f"{type(exc).__name__}: {exc}"
+
+
+# the dataset of an `ablate --jobs N` worker process, set once by _init_worker
+_worker_dataset: Dataset | None = None
+
+
+def _init_worker(ds: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = ds
+
+
+def _worker_run(task: tuple) -> tuple[int, int, dict | None, str | None]:
+    return _ablate_run(task, _worker_dataset)
 
 
 def cmd_ablate(args) -> int:
@@ -261,6 +282,7 @@ def cmd_ablate(args) -> int:
     if n_seeds < 1:
         raise ConfigError("grid: n_seeds must be >= 1")
     cells = _expand_grid(base, grid)
+    ds = load_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonio.dump(
@@ -285,24 +307,23 @@ def cmd_ablate(args) -> int:
 
     results: dict[tuple[int, int], tuple[dict | None, str | None]] = {}
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for ci, si, rep, err in pool.map(_ablate_run, tasks):
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+                                 initargs=(ds,)) as pool:
+            for ci, si, rep, err in pool.map(_worker_run, tasks):
                 results[(ci, si)] = (rep, err)
     else:
         for task in tasks:
-            ci, si, rep, err = _ablate_run(task)
+            ci, si, rep, err = _ablate_run(task, ds)
             results[(ci, si)] = (rep, err)
 
     metrics = ("macro_auc", "macro_f1", "mean_attention_entropy", "top10_mass",
                "instance_localization_auc")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["cell", "branches", "k_count", "k_fraction", "prob", "disable_L_d",
               "n_seeds", "n_ok"]
     for m in metrics:
         header += [f"{m}_mean", f"{m}_std"]
     header.append("errors")
-    writer.writerow(header)
+    rows = [header]
     for ci, (name, cfg) in enumerate(cells):
         reports = []
         errors = []
@@ -334,8 +355,8 @@ def cmd_ablate(args) -> int:
             else:
                 row += ["", ""]
         row.append("; ".join(errors))
-        writer.writerow(row)
-    (out_dir / "summary.csv").write_text(buf.getvalue(), encoding="utf-8")
+        rows.append(row)
+    jsonio.write_text(out_dir / "summary.csv", _csv_text(rows))
     n_failed = sum(1 for rep, _ in results.values() if rep is None)
     print(f"ablation complete: {len(cells)} cells x {n_seeds} seeds, "
           f"{n_failed} failed runs; summary at {out_dir / 'summary.csv'}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -47,6 +49,10 @@ def _write(obj: Any, out: list[str], indent: int | None, level: int) -> None:
         out.append(endpad)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            # the common row of floats, in one join; same bytes as below
+            out.append("[" + ",".join(map(format_float, obj)) + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             _write(v, out, indent, level + 1)
@@ -76,9 +82,25 @@ def dumps(obj: Any, indent: int | None = 2) -> str:
     return "".join(out)
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it into place.
+
+    A reader sees the old file or the whole new one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump(obj: Any, path, indent: int | None = 2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=indent))
+    """Serialise first, so a document that cannot be written leaves ``path`` as it was."""
+    write_text(path, dumps(obj, indent=indent))
 
 
 def loads(text: str) -> Any:
@@ -92,4 +114,10 @@ def loads(text: str) -> Any:
 
 def load(path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from exc
+    return loads(text)

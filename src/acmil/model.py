@@ -133,13 +133,18 @@ def init_model(dims: ModelDims, rng: Rng, activation: str = "relu", seed: int = 
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}; choose from {ACTIVATIONS}")
     model = Model(dims, activation, seed=seed)
-    for name, p in model.parameters():
-        if name.endswith("_b"):
-            continue
+    weights = [p for name, p in model.parameters() if not name.endswith("_b")]
+    # one block draw, split over the weights in v1 order; low + (high - low) * u
+    # is uniform()'s own formula, so each value equals a per-tensor draw
+    u = rng.uniform_array(sum(p.size for p in weights))
+    start = 0
+    for p in weights:
         # att_w is a (L, 1) score column stored flat
         rows, cols = p.shape if p.ndim == 2 else (p.size, 1)
         s = np.sqrt(6.0 / (rows + cols))
-        p[...] = rng.uniform_array(p.shape, -s, s)
+        low, high = -s, s
+        p[...] = (low + (high - low) * u[start : start + p.size]).reshape(p.shape)
+        start += p.size
     return model
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .bags import Bag
 from .config import Config
 from .data import Dataset
@@ -85,10 +86,16 @@ class TrainConfig(Config):
             raise ConfigError("weight_decay must be >= 0")
         if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
-        if not self.topk_list:
-            raise ConfigError("topk_list must not be empty")
-        if min(self.topk_list) < 1:
-            raise ConfigError("topk_list entries must be >= 1")
+        check_topk_list(self.topk_list)
+
+
+def check_topk_list(topk_list: tuple[int, ...], path: str = "topk_list") -> tuple[int, ...]:
+    """``topk_list`` itself, after checking it is non-empty with entries >= 1."""
+    if not topk_list:
+        raise ConfigError(f"{path} must not be empty")
+    if min(topk_list) < 1:
+        raise ConfigError(f"{path} entries must be >= 1")
+    return topk_list
 
 
 @dataclass
@@ -138,8 +145,7 @@ class TrainHistory:
         return buf.getvalue()
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        jsonio.write_text(path, self.to_csv())
 
 
 def cosine_lr(epoch: int, cfg: TrainConfig) -> float:

@@ -222,7 +222,11 @@ GOOD_DATASET = {
 }
 NO_FEATURE_DIM = {k: v for k, v in GOOD_DATASET.items() if k != "feature_dim"}
 BAD_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="x")])
-NO_DIMS = {k: v for k, v in jsonio.load(FIXTURE).items() if k != "dims"}
+FIXTURE_DOC = jsonio.load(FIXTURE)
+NO_DIMS = {k: v for k, v in FIXTURE_DOC.items() if k != "dims"}
+TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
+STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
+                                            stkim={"count": 10, "prob": "x"}))
 
 # (command, config, grid, dataset, checkpoint, error prefix, text the line names)
 ERROR_CASES = {
@@ -256,6 +260,10 @@ ERROR_CASES = {
                           "error:data-format:", "malformed dataset"),
     "checkpoint-missing-key": ("eval", None, None, GOOD_DATASET, NO_DIMS,
                                "error:data-format:", "dims"),
+    "checkpoint-topk-zero": ("eval", None, None, GOOD_DATASET, TOPK_ZERO,
+                             "error:config:", "checkpoint config.topk_list"),
+    "checkpoint-string-prob": ("eval", None, None, GOOD_DATASET, STRING_PROB,
+                               "error:config:", "checkpoint config.stkim.prob"),
 }
 
 
@@ -278,3 +286,23 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert err.startswith(prefix)
     assert names in err
     assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_config_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error:data-format:") and str(config) in err
+
+
+def test_ablate_on_a_missing_dataset_fails_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["ablate", "--data", str(tmp_path / "missing.json"),
+            "--grid", write_json(tmp_path / "grid.json", {"M": [1], "n_seeds": 1}),
+            "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:io:")
+    assert not (out / "cells").exists()

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmil.rng import Rng
 
@@ -75,3 +77,49 @@ def test_sample_without_replacement():
     assert len(picked) == 4
     assert len(set(picked)) == 4
     assert all(0 <= p < 10 for p in picked)
+
+
+# lane boundaries of the block draw and powers of two either side
+BLOCK_SIZES = [1023, 1024, 1025] + [(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)]
+
+
+def _arbitrary_state(words):
+    rng = Rng(0)
+    rng._s0, rng._s1, rng._s2, rng._s3 = words
+    return rng
+
+
+STATES = st.tuples(*[st.integers(0, (1 << 64) - 1)] * 4).filter(any)
+BLOCK_N = st.one_of(st.integers(0, 5000), st.sampled_from(BLOCK_SIZES))
+
+
+@settings(deadline=None, max_examples=60)
+@given(STATES, BLOCK_N)
+def test_block_draw_equals_scalar_next_u64(words, n):
+    block, scalar = _arbitrary_state(words), _arbitrary_state(words)
+    got = block.next_u64_array(n)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    assert got.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+@settings(deadline=None, max_examples=60)
+@given(STATES, BLOCK_N, st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
+def test_block_uniform_equals_scalar_uniform(words, n, low, width):
+    high = low + width
+    block, scalar = _arbitrary_state(words), _arbitrary_state(words)
+    scalar.normal()  # leaves a cached gaussian, which block draws must not touch
+    block.normal()
+    got = block.uniform_array((n,), low, high)
+    want = np.array([scalar.uniform(low, high) for _ in range(n)], dtype=np.float64)
+    assert got.tobytes() == want.tobytes()
+    assert (block._s0, block._s1, block._s2, block._s3) == (
+        scalar._s0, scalar._s1, scalar._s2, scalar._s3)
+    assert block.normal() == scalar.normal()
+
+
+def test_uniform_array_keeps_the_shape_in_c_order():
+    got = Rng(3).uniform_array((2, 3, 4))
+    scalar = Rng(3)
+    assert got.shape == (2, 3, 4)
+    assert got.reshape(-1).tolist() == [scalar.uniform() for _ in range(24)]
