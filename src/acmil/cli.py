@@ -22,8 +22,6 @@ An ablation sweep nests one such directory per (cell, seed) under
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -97,12 +95,6 @@ def _require_split(ds, name: str):
     return bags
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _write_run_outputs(out_dir: Path, cfg: TrainConfig, model, history, report, exports,
                        data_path: str, export_attention: bool, export_embeddings: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +116,7 @@ def _write_run_outputs(out_dir: Path, cfg: TrainConfig, model, history, report, 
     }
     jsonio.dump(report_doc, out_dir / "report.json")
     jsonio.write_text(out_dir / "report_row.csv",
-                      _csv_text([report.summary_header(), report.summary_row()]))
+                      jsonio.csv_text([report.summary_header(), report.summary_row()]))
     if export_attention:
         jsonio.dump(exports["attention"], out_dir / "attention.json")
     if export_embeddings:
@@ -316,8 +308,10 @@ def cmd_ablate(args) -> int:
             ci, si, rep, err = _ablate_run(task, ds)
             results[(ci, si)] = (rep, err)
 
-    metrics = ("macro_auc", "macro_f1", "mean_attention_entropy", "top10_mass",
-               "instance_localization_auc")
+    # one top-k mass per K of the base config, in report_row.csv's order
+    metrics = ["macro_auc", "macro_f1", "mean_attention_entropy",
+               *(f"top{k}_mass" for k in sorted(set(base.topk_list))),
+               "instance_localization_auc"]
     header = ["cell", "branches", "k_count", "k_fraction", "prob", "disable_L_d",
               "n_seeds", "n_ok"]
     for m in metrics:
@@ -330,7 +324,8 @@ def cmd_ablate(args) -> int:
         for si in range(n_seeds):
             rep, err = results[(ci, si)]
             if rep is not None:
-                reports.append(rep)
+                topk = rep["mean_topk_cumulative"]
+                reports.append({**rep, **{f"top{k}_mass": v for k, v in topk.items()}})
             if err is not None:
                 errors.append(f"seed{si}: {err}")
         row = [
@@ -344,11 +339,7 @@ def cmd_ablate(args) -> int:
             len(reports),
         ]
         for m in metrics:
-            if m == "top10_mass":
-                vals = [r["mean_topk_cumulative"].get("10") for r in reports]
-            else:
-                vals = [r[m] for r in reports]
-            vals = [v for v in vals if v is not None]
+            vals = [r[m] for r in reports if r[m] is not None]
             if vals:
                 row += [format(float(np.mean(vals)), ".6g"),
                         format(float(np.std(vals)), ".6g")]
@@ -356,7 +347,7 @@ def cmd_ablate(args) -> int:
                 row += ["", ""]
         row.append("; ".join(errors))
         rows.append(row)
-    jsonio.write_text(out_dir / "summary.csv", _csv_text(rows))
+    jsonio.write_text(out_dir / "summary.csv", jsonio.csv_text(rows))
     n_failed = sum(1 for rep, _ in results.values() if rep is None)
     print(f"ablation complete: {len(cells)} cells x {n_seeds} seeds, "
           f"{n_failed} failed runs; summary at {out_dir / 'summary.csv'}")

@@ -224,14 +224,14 @@ def split_dataset(ds: Dataset, ratios, seed: int) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Canonical text format; floats at 17 significant digits (bit-exact)."""
+    """Canonical one-line JSON; floats at their shortest round-trip text (bit-exact)."""
     records = []
     for b in ds.bags:
         rec: dict = {"id": b.id, "label": b.label}
         if b.id in ds.split_of:
             rec["split"] = ds.split_of[b.id]
         if b.instance_labels is not None:
-            rec["instance_labels"] = [int(v) for v in b.instance_labels]
+            rec["instance_labels"] = b.instance_labels
         rec["instances"] = b.instances
         records.append(rec)
     doc = {

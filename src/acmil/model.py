@@ -24,14 +24,14 @@ initialise uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)), biases zero,
 drawn in that order from the run seed, so a model is a pure function of
 (dims, activation, seed).
 
-Checkpoints are JSON with every float at 17 significant digits; the
-round-trip is bit-exact.
+Checkpoints are one line of JSON (format v1) with every float at its
+shortest round-trip text; the reload is bit-exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -152,13 +152,7 @@ def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
-        "dims": {
-            "feature_dim": model.dims.feature_dim,
-            "embed_dim": model.dims.embed_dim,
-            "attn_dim": model.dims.attn_dim,
-            "branches": model.dims.branches,
-            "classes": model.dims.classes,
-        },
+        "dims": asdict(model.dims),
         "activation": model.activation,
         "seed": model.seed,
         "config": config if config is not None else {},

@@ -13,8 +13,6 @@ removed; a flag exists to re-enable it for the corresponding ablation.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,13 +124,10 @@ class TrainHistory:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.csv_header())
-
         def fmt(v):
             return "" if v is None else format(float(v), ".17g")
 
+        rows = [self.csv_header()]
         for r in self.records:
             row = [str(r.epoch), fmt(r.lr)]
             row += [fmt(x) for x in (r.train_loss.bag, r.train_loss.branch,
@@ -141,8 +136,8 @@ class TrainHistory:
                                      r.val_loss.diversity, r.val_loss.total)]
             row += [fmt(r.val_macro_auc), fmt(r.val_macro_f1), fmt(r.val_attention_entropy)]
             row += [fmt(r.val_topk[k]) for k in sorted(r.val_topk)]
-            writer.writerow(row)
-        return buf.getvalue()
+            rows.append(row)
+        return jsonio.csv_text(rows)
 
     def save_csv(self, path) -> None:
         jsonio.write_text(path, self.to_csv())
@@ -278,7 +273,7 @@ def evaluate(
     kmeans_seed: int = 0,
     include_diversity: bool = True,
 ) -> tuple[MetricsReport, dict]:
-    """Metrics report plus raw per-bag attention/embedding exports.
+    """Metrics report plus raw per-bag attention/embedding exports (arrays by bag id).
 
     Masking is removed unless ``stkim_at_eval`` re-enables it (for the
     test-time-masking ablation), in which case draws come from a stream of
@@ -301,8 +296,8 @@ def evaluate(
     topk_sums = {k: 0.0 for k in topk_list}
     loc_aucs: list[float] = []
     pair_cosines: list[float] = []
-    attention_export: dict[str, list[float]] = {}
-    embedding_export: dict[str, list[float]] = {}
+    attention_export: dict[str, np.ndarray] = {}
+    embedding_export: dict[str, np.ndarray] = {}
     for i, bag in enumerate(bags):
         trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval)
         if not masking_active and trace.zeroed.any():
@@ -321,8 +316,8 @@ def evaluate(
                 loc_aucs.append(auc)
         if model.dims.branches >= 2:
             pair_cosines.append(diversity_loss(trace.attention))
-        attention_export[bag.id] = trace.heatmap.tolist()
-        embedding_export[bag.id] = trace.bag_embedding.tolist()
+        attention_export[bag.id] = trace.heatmap
+        embedding_export[bag.id] = trace.bag_embedding
 
     auc, per_auc = macro_auc(probs, labels, c) if n >= 2 else (None, [None] * c)
     f1, per_f1 = macro_f1(probs.argmax(axis=1), labels, c)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -151,6 +152,20 @@ def test_ablate_grid_bookkeeping(tiny_data, tmp_path):
     assert "macro_auc_mean" in header and "macro_auc_std" in header
     run_dirs = sorted((out / "cells").glob("*/seed*"))
     assert len(run_dirs) == 4
+
+
+def test_ablate_summary_has_a_mass_column_per_configured_k(tiny_data, tmp_path):
+    cfg = write_json(tmp_path / "train.json", {"train": {**TINY_TRAIN, "topk_list": [5, 1]}})
+    grid = write_json(tmp_path / "grid.json", {"M": [1], "n_seeds": 2})
+    out = tmp_path / "sweep"
+    assert main(["ablate", "--data", str(tiny_data), "--config", cfg,
+                 "--grid", grid, "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    masses = [c for c in row if "_mass_" in c]
+    assert masses == ["top1_mass_mean", "top1_mass_std", "top5_mass_mean", "top5_mass_std"]
+    assert row["n_ok"] == "2"
+    assert all(row[c] != "" for c in masses)
 
 
 def test_resolved_config_reloads_to_identical_run(tiny_data, tmp_path):

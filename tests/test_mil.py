@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acmil.bags import Bag
 from acmil.errors import ConfigError
@@ -160,6 +163,29 @@ def test_stkim_only_top_k_indices_are_zeroed():
         assert set(np.nonzero(res.zeroed)[0].tolist()) <= top
         assert abs(res.attention.sum() - 1.0) < 1e-9
         assert (res.attention >= 0.0).all()
+
+
+@settings(deadline=None)
+@given(weights=hnp.arrays(np.float64, st.integers(1, 60),
+                          elements=st.one_of(st.just(0.0), st.floats(1e-6, 1e6))),
+       k=st.integers(1, 70), prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+def test_stkim_mask_properties(weights, k, prob, seed):
+    assume(weights.sum() > 0.0)
+    attn = weights / weights.sum()
+    cfg = StkimConfig(count=k, prob=prob)
+    res = stkim_mask(attn, cfg, Rng(seed), training=True)
+    assert abs(res.attention.sum() - 1.0) <= 1e-12
+    # at most k entries are zeroed, each among the k largest
+    k_eff = cfg.resolve_k(len(attn))
+    assert res.zeroed.sum() <= k_eff
+    assert (attn[res.zeroed] >= np.sort(attn)[-k_eff]).all()
+    assert (res.attention[res.zeroed] == 0.0).all()
+    if not res.renormalized:
+        assert res.attention.tobytes() == attn.tobytes()
+    # evaluation is the identity, bit for bit
+    res = stkim_mask(attn, cfg, None, training=False)
+    assert res.attention.tobytes() == attn.tobytes()
+    assert not res.zeroed.any()
 
 
 def test_stkim_masking_frequency_quick():

@@ -72,9 +72,15 @@ def test_checkpoint_from_before_the_flat_layout_round_trips(tmp_path):
     doc = jsonio.load(FIXTURE)
     for name, p in model.parameters():
         assert np.array_equal(p, doc["params"][name])
-    out = tmp_path / "resaved.json"
+    # the fixture's 17-digit floats re-save as their shortest round-trip text,
+    # and that re-save round-trips byte-identically
+    out, again = tmp_path / "resaved.json", tmp_path / "again.json"
     save_checkpoint(model, out, config=cfg)
-    assert out.read_bytes() == FIXTURE.read_bytes()
+    assert jsonio.load(out) == doc
+    resaved, resaved_cfg = load_checkpoint(out)
+    assert resaved.flat.tobytes() == model.flat.tobytes()
+    save_checkpoint(resaved, again, config=resaved_cfg)
+    assert again.read_bytes() == out.read_bytes()
 
     # and it computes what it computed when it was written
     bag = Bag(id="probe", instances=Rng.stream(21, 99).normal_array((9, 5)), label=0)
