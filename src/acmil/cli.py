@@ -267,6 +267,8 @@ def _worker_run(task: tuple) -> tuple[int, int, dict | None, str | None]:
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     doc = _load_config(args.config, TRAIN_KEYS)
     base = _train_config_from(doc, args.seed)
     grid = _load_config(args.grid, GRID_KEYS, "grid")
@@ -375,8 +377,15 @@ def cmd_grad_check(args) -> int:
     return 0 if worst < ERROR_BOUND else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, so it prints as one line like any other."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="acmil", description=__doc__)
+    parser = _Parser(prog="acmil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic bag dataset")
@@ -426,9 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AcmilError as exc:
         print(f"error:{exc.kind}: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ field's type annotation.  Unknown keys, a bool where a number is expected,
 non-finite floats and any other wrong type raise ConfigError naming the
 dotted path of the value (``train.stkim.count``).  An int given for a float
 field becomes a float and a list becomes a tuple.  The constructor's own
-range checks run last.
+range checks run last; their messages start with the field name, which
+``from_dict`` extends to the dotted path (``train.epochs must be >= 1``).
 """
 
 from __future__ import annotations
@@ -95,4 +96,8 @@ class Config:
         path = cls.__name__ if path is None else path
         check_keys(doc, [f.name for f in fields(cls)], path)
         hints = typing.get_type_hints(cls)
-        return cls(**{k: decode(v, hints[k], _join(path, k)) for k, v in doc.items()})
+        kwargs = {k: decode(v, hints[k], _join(path, k)) for k, v in doc.items()}
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(_join(path, exc)) from exc

@@ -47,19 +47,19 @@ class SyntheticConfig(Config):
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise ConfigError("synthetic: num_classes must be >= 2")
+            raise ConfigError("num_classes must be >= 2")
         if self.patterns_per_class < 1 or self.background_patterns < 1:
-            raise ConfigError("synthetic: need at least one pattern of each kind")
+            raise ConfigError("patterns_per_class and background_patterns must be >= 1")
         if self.instances_min < 1 or self.instances_max < self.instances_min:
-            raise ConfigError("synthetic: invalid instance count range")
+            raise ConfigError("instances_min must lie in [1, instances_max]")
         if not (0.0 < self.positive_fraction_min <= self.positive_fraction_max < 1.0):
-            raise ConfigError("synthetic: positive fraction range must satisfy 0 < min <= max < 1")
+            raise ConfigError("positive_fraction_min/max must satisfy 0 < min <= max < 1")
         if not (1 <= self.patterns_per_bag_min <= self.patterns_per_bag_max):
-            raise ConfigError("synthetic: invalid patterns-per-bag range")
+            raise ConfigError("patterns_per_bag_min must lie in [1, patterns_per_bag_max]")
         if self.cluster_std <= 0 or self.cluster_separation <= 0:
-            raise ConfigError("synthetic: cluster_std and cluster_separation must be positive")
+            raise ConfigError("cluster_std and cluster_separation must be positive")
         if self.bags_per_class < 1:
-            raise ConfigError("synthetic: bags_per_class must be >= 1")
+            raise ConfigError("bags_per_class must be >= 1")
 
 
 @dataclass

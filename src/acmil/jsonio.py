@@ -69,6 +69,7 @@ def loads(text: str) -> Any:
 
 
 def load(path) -> Any:
+    """The document in ``path``; a DataFormatError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -76,4 +77,7 @@ def load(path) -> Any:
             raise DataFormatError(
                 f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
             ) from exc
-    return loads(text)
+    try:
+        return loads(text)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc.__cause__

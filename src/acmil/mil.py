@@ -13,9 +13,11 @@ One bag flows through as
 
 V and U stack the M branches' (L, E) matrices, so one batched product of H
 with the (2, ML, E) stack [V; U] scores every branch; the gates are computed
-in place in that product's output buffer, whose two halves are contiguous.  The mean-of-heatmaps and
-mean-of-branch-embeddings formulations of z are algebraically identical;
-the trace asserts that identity to 1e-10.
+in place in that product's output buffer, whose two halves are contiguous.
+The buffer may be the head of a caller's flat ``workspace``; the trace's gates
+then view it and stay valid until the next forward pass with that workspace.
+The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
+algebraically identical; the trace asserts that identity to 1e-10.
 
 Masking zeroes each of the k largest attention values independently with
 probability p, then divides the survivors by their sum.  It is a train-time
@@ -62,13 +64,13 @@ class StkimConfig(Config):
 
     def __post_init__(self):
         if (self.count is None) == (self.fraction is None):
-            raise ConfigError("stkim: set exactly one of count / fraction")
+            raise ConfigError("count / fraction: set exactly one of them")
         if self.count is not None and self.count < 0:
-            raise ConfigError("stkim: count must be >= 0")
+            raise ConfigError("count must be >= 0")
         if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
-            raise ConfigError("stkim: fraction must lie in (0, 1]")
+            raise ConfigError("fraction must lie in (0, 1]")
         if not (0.0 <= self.prob <= 1.0):
-            raise ConfigError("stkim: prob must lie in [0, 1]")
+            raise ConfigError("prob must lie in [0, 1]")
 
     def resolve_k(self, n: int) -> int:
         """Effective top-k size for a bag of n instances.
@@ -115,7 +117,7 @@ class ForwardTrace:
 
     pre_activations: np.ndarray  # (N, E) before the embedding nonlinearity
     embeddings: np.ndarray  # (N, E)
-    gates: np.ndarray  # (2, N, M, L): tanh(H V^T) and sigm(H U^T)
+    gates: np.ndarray  # (2, N, M, L): tanh(H V^T) and sigm(H U^T); may view a workspace
     raw_attention: np.ndarray  # (M, N) pre-mask softmax output
     attention: np.ndarray  # (M, N) post-mask, rows sum to 1
     zeroed: np.ndarray  # bool (M, N), True where the mask zeroed the value
@@ -152,12 +154,26 @@ def embed_instances(bag: Bag, model: Model) -> np.ndarray:
     return h
 
 
-def _gates(embeddings: np.ndarray, model: Model) -> np.ndarray:
-    """(2, N, M, L) gate buffer [tanh(H V^T); sigm(H U^T)], activated in place."""
-    g = np.matmul(embeddings, model.att_vu.transpose(0, 2, 1))
+def gate_workspace(model: Model, bags) -> np.ndarray:
+    """A flat buffer that holds the gates of the largest of ``bags``."""
+    n = max(bag.n_instances for bag in bags)
+    return np.empty(2 * n * model.dims.branches * model.dims.attn_dim)
+
+
+def _gates(h: np.ndarray, model: Model, workspace: np.ndarray | None = None) -> np.ndarray:
+    """(2, N, M, L) gate buffer [tanh(H V^T); sigm(H U^T)], activated in place in
+    the head of ``workspace`` or, without one, in a new array."""
+    n, m, l = len(h), model.dims.branches, model.dims.attn_dim
+    size, out = 2 * n * m * l, None
+    if workspace is not None:
+        if workspace.dtype != np.float64 or workspace.size < size:
+            raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
+                             f"the gates need {size} float64")
+        out = workspace[:size].reshape(2, n, m * l)
+    g = np.matmul(h, model.att_vu.transpose(0, 2, 1), out=out)
     np.tanh(g[0], out=g[0])
     sigmoid(g[1], out=g[1])
-    return g.reshape(2, len(embeddings), model.dims.branches, model.dims.attn_dim)
+    return g.reshape(2, n, m, l)
 
 
 def _scores(gates: np.ndarray, model: Model) -> np.ndarray:
@@ -237,16 +253,18 @@ def mba_forward(
     rng: Rng | None,
     training: bool,
     frozen_masks: np.ndarray | None = None,
+    workspace: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Full multi-branch forward pass producing a trace for backward.
 
     Branches draw their masks independently, in branch order, from ``rng``;
     ``frozen_masks`` (M, N) replays recorded ones instead.  With one branch
     and masking off this is exactly the classic single-head gated-attention
-    pipeline.
+    pipeline.  A flat float64 ``workspace`` of at least 2·N·M·L values (see
+    ``gate_workspace``) holds the gates instead of a new array.
     """
     pre, h = _embed(bag, model)
-    gates = _gates(h, model)
+    gates = _gates(h, model, workspace)
     raw = softmax(_scores(gates, model))
     attention = raw.copy()
     zeroed = np.zeros(raw.shape, dtype=bool)

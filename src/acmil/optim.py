@@ -33,7 +33,7 @@ from .metrics import (
     topk_cumulative,
     v_measure,
 )
-from .mil import StkimConfig, mba_forward
+from .mil import StkimConfig, gate_workspace, mba_forward
 from .model import Model, ModelDims, Params, init_model
 from .rng import Rng
 
@@ -224,6 +224,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     best_value = -np.inf
     best_epoch = 0
     best_model = model.copy()
+    workspace = gate_workspace(model, train_bags)
     t = 0
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg)
@@ -233,7 +234,8 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
         sums = np.zeros(4)
         for idx in order:
             bag = train_bags[idx]
-            trace = mba_forward(bag, model, cfg.stkim, mask_rng, training=True)
+            trace = mba_forward(bag, model, cfg.stkim, mask_rng, training=True,
+                                workspace=workspace)
             loss = total_loss(trace, bag.label, include_diversity=not cfg.disable_diversity_loss)
             grads = backward(
                 trace, bag, model, include_diversity=not cfg.disable_diversity_loss
@@ -279,7 +281,8 @@ def evaluate(
     test-time-masking ablation), in which case draws come from a stream of
     ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
     the diversity term only if ``include_diversity``; training validates
-    each epoch through this pass.
+    each epoch through this pass.  One gate workspace, sized for the largest
+    bag, serves every bag of the call.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -298,8 +301,9 @@ def evaluate(
     pair_cosines: list[float] = []
     attention_export: dict[str, np.ndarray] = {}
     embedding_export: dict[str, np.ndarray] = {}
+    workspace = gate_workspace(model, bags)
     for i, bag in enumerate(bags):
-        trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval)
+        trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval, workspace=workspace)
         if not masking_active and trace.zeroed.any():
             raise AssertionError("masking leaked into validation")
         loss = total_loss(trace, bag.label, include_diversity=include_diversity)

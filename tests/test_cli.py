@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import acmil
 from acmil import jsonio
 from acmil.cli import main
 from acmil.data import load_dataset
@@ -243,7 +247,9 @@ TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
 STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
                                             stkim={"count": 10, "prob": "x"}))
 
-# (command, config, grid, dataset, checkpoint, error prefix, text the line names)
+# (command, config, grid, dataset, checkpoint, error prefix, text the line names,
+#  *extra flags); a dataset of NO_FLAG leaves out the --data flag
+NO_FLAG = "no flag"
 ERROR_CASES = {
     "misspelt-section": ("train", {"trian": {"epochs": 1}}, None, None, None,
                          "error:config:", "trian"),
@@ -279,14 +285,22 @@ ERROR_CASES = {
                              "error:config:", "checkpoint config.topk_list"),
     "checkpoint-string-prob": ("eval", None, None, GOOD_DATASET, STRING_PROB,
                                "error:config:", "checkpoint config.stkim.prob"),
+    "epochs-zero": ("train", {"train": {"epochs": 0}}, None, None, None,
+                    "error:config:", "train.epochs must be >= 1"),
+    "grid-prob-two": ("ablate", None, {"M": [1], "p": [2]}, None, None,
+                      "error:config:", "grid[M1-p2].stkim.prob must lie in [0, 1]"),
+    "missing-data-flag": ("train", None, None, NO_FLAG, None,
+                          "error:config:", "required: --data"),
+    "ablate-jobs-zero": ("ablate", None, {"M": [1]}, None, None,
+                         "error:config:", "--jobs must be >= 1", "--jobs", "0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_bad_input_is_one_error_line(case, tmp_path, capsys):
-    command, config, grid, dataset, checkpoint, prefix, names = ERROR_CASES[case]
-    argv = [command, "--out", str(tmp_path / "out")]
-    if command != "gen-data":
+    command, config, grid, dataset, checkpoint, prefix, names, *extra = ERROR_CASES[case]
+    argv = [command, "--out", str(tmp_path / "out"), *extra]
+    if command != "gen-data" and dataset is not NO_FLAG:
         data = dataset if dataset is not None else GOOD_DATASET
         argv += ["--data", write_json(tmp_path / "data.json", data)]
     if config is not None:
@@ -301,6 +315,23 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert err.startswith(prefix)
     assert names in err
     assert not (tmp_path / "out").exists()
+
+
+def test_python_m_acmil_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(acmil.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "acmil", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    out = str(tmp_path / "out")
+    for argv in (["train", "--data", "missing.json", "--out", out], ["train", "--out", out]):
+        proc = run(*argv)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    proc = run("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: acmil")
 
 
 def test_non_utf8_config_is_one_error_line(tmp_path, capsys):

@@ -114,5 +114,6 @@ def test_a_file_cut_before_its_closing_brace_is_a_data_format_error(
     offset = data.draw(st.integers(0, whole.rindex(b"}")), label="offset")
     path = tmp_path_factory.getbasetemp() / "cut.json"
     path.write_bytes(whole[:offset])
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError) as info:
         loader(path)
+    assert str(info.value).count(str(path)) == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis.extra import numpy as hnp
 from acmil.bags import Bag
 from acmil.errors import ConfigError
 from acmil.mil import (
+    ForwardTrace,
     StkimConfig,
     aggregate,
     average_heatmap,
     embed_instances,
+    gate_workspace,
     gated_attention,
     mba_forward,
     pooling_forward,
@@ -342,6 +345,32 @@ def test_forward_permutation_invariance_at_p_zero():
     assert np.max(np.abs(trace_p.heatmap - trace.heatmap[perm])) < 1e-10
     assert np.max(np.abs(trace_p.bag_probs - trace.bag_probs)) < 1e-10
     assert np.max(np.abs(trace_p.bag_embedding - trace.bag_embedding)) < 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), training=st.booleans())
+def test_forward_with_a_workspace_is_bit_identical(sizes, seed, training):
+    model = tiny_model(seed % 100)
+    stkim = StkimConfig(count=3, prob=0.6)
+    bags = [random_bag(seed + i, n, 3) for i, n in enumerate(sizes)]
+    ws = gate_workspace(model, bags)
+    ws[:] = np.nan  # a value the forward pass read from the buffer would show
+    for i, bag in enumerate(bags):
+        want = mba_forward(bag, model, stkim, Rng(seed + i), training)
+        got = mba_forward(bag, model, stkim, Rng(seed + i), training, workspace=ws)
+        for f in fields(ForwardTrace):
+            a, b = getattr(want, f.name), getattr(got, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            assert np.shares_memory(b, ws) == (f.name == "gates"), f.name
+
+
+def test_a_workspace_too_small_or_not_float64_is_refused():
+    model = tiny_model()  # M=2, L=5: a bag of 4 needs 2*4*2*5 = 80 values
+    for ws, held in [(np.empty(79), "79 float64"), (np.empty(80, np.float32), "80 float32")]:
+        with pytest.raises(ValueError, match=f"holds {held} values, the gates need 80 float64"):
+            mba_forward(random_bag(0, 4, 3), model, StkimConfig(), None, training=False,
+                        workspace=ws)
 
 
 # ---------------------------------------------------------------- baselines

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,28 @@ def test_evaluate_is_deterministic():
     assert rep_a.to_dict() == rep_b.to_dict()
     # the exports are arrays; their JSON text is equal only if every value is
     assert jsonio.dumps(exp_a) == jsonio.dumps(exp_b)
+
+
+# sha256 of outputs written before train and evaluate held a gate workspace,
+# which moves the gates, not one arithmetic operation.  They are digests of
+# BLAS results: another BLAS build may change the last bits and the digests.
+TRAIN_FLAT_SHA256 = "f7a781389453b360dffeaaa6ebea63c412a23c0580a1fc4fbea3f44b68185d39"
+EVAL_SHA256 = {False: "622649cc2137908a5171befe8923d4bcc5aca1d7985aee78176e0d308268a603",
+               True: "f0b04ff0268c4cdc4b1e3e18742c57c07446d049a48fa2f80690a6ffc1cbeb56"}
+
+
+def test_trained_parameters_are_pinned():
+    model, _ = train(tiny_dataset(), quick_config(epochs=2))
+    assert hashlib.sha256(model.flat.tobytes()).hexdigest() == TRAIN_FLAT_SHA256
+
+
+@pytest.mark.parametrize("stkim_at_eval", [False, True])
+def test_evaluate_report_and_exports_are_pinned(stkim_at_eval):
+    model = init_model(ModelDims(6, 6, 6, 2, 2), Rng.stream(0, 0), seed=0)
+    report, exports = evaluate(model, tiny_dataset().bags, stkim=StkimConfig(count=3, prob=0.5),
+                               stkim_at_eval=stkim_at_eval, eval_seed=1, topk_list=(1, 5))
+    text = jsonio.dumps([report.to_dict(), exports])
+    assert hashlib.sha256(text.encode()).hexdigest() == EVAL_SHA256[stkim_at_eval]
 
 
 def test_evaluate_attention_sums_to_one():
