@@ -63,7 +63,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import cosine_similarity, finite_diff_check, softmax, stable_argsort_desc
+from .numerics import finite_diff_check, softmax, stable_argsort_desc
 from .optim import AdamState, TrainConfig, TrainHistory, adam_step, cosine_lr, evaluate, train
 from .rng import Rng
 
@@ -99,7 +99,6 @@ __all__ = [
     "branch_loss",
     "check_gradients",
     "cosine_lr",
-    "cosine_similarity",
     "diversity_loss",
     "embed_instances",
     "evaluate",

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import jsonio
 from .config import check_keys, decode
-from .data import (Dataset, SyntheticConfig, generate_synthetic, load_dataset, save_dataset,
-                   split_dataset)
-from .errors import AcmilError, ConfigError
+from .data import (SPLIT_NAMES, Dataset, SyntheticConfig, generate_synthetic, load_dataset,
+                   save_dataset, split_dataset)
+from .errors import AcmilError, ConfigError, RunError
 from .gradcheck import ERROR_BOUND, TINY_DIMS, TINY_INSTANCES, max_suite_error, run_suite
 from .mil import StkimConfig
 from .model import ModelDims, load_checkpoint, save_checkpoint
@@ -277,6 +277,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError("grid: n_seeds must be >= 1")
     cells = _expand_grid(base, grid)
     ds = load_dataset(args.data)
+    for split in SPLIT_NAMES:
+        _require_split(ds, split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonio.dump(
@@ -353,6 +355,9 @@ def cmd_ablate(args) -> int:
     n_failed = sum(1 for rep, _ in results.values() if rep is None)
     print(f"ablation complete: {len(cells)} cells x {n_seeds} seeds, "
           f"{n_failed} failed runs; summary at {out_dir / 'summary.csv'}")
+    if n_failed == len(results):
+        (ci, si), (_, err) = next(iter(results.items()))
+        raise RunError(f"all {n_failed} runs failed; first: {cells[ci][0]} seed{si}: {err}")
     return 0
 
 

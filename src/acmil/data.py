@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .bags import Bag
-from .config import Config
+from .config import Config, decode
 from .errors import ConfigError, DataFormatError, GenerationError
 from .rng import Rng
 
@@ -246,36 +246,62 @@ def save_dataset(ds: Dataset, path) -> None:
     jsonio.dump(doc, path)
 
 
-def load_dataset(path) -> Dataset:
+def _float_rows(rows):
+    """``rows`` as a float64 array if it is a rectangular 2-d list of numbers, else as given."""
     try:
-        doc = jsonio.load(path)
+        a = np.array(rows)
+    except ValueError:  # ragged
+        return rows
+    return a.astype(np.float64, copy=False) if a.ndim == 2 and a.dtype.kind in "fiu" else rows
+
+
+def _bag_arrays(obj: dict) -> dict:
+    """JSON object hook: a bag record's lists become arrays as soon as the decoder
+    closes it, so one bag at most is held as lists; ``load_dataset`` reports the rest."""
+    if "instances" in obj:
+        obj["instances"] = _float_rows(obj["instances"])
+        labels = obj.get("instance_labels")
+        if type(labels) is list and all(type(v) is int and abs(v) < 2**63 for v in labels):
+            obj["instance_labels"] = np.array(labels, dtype=np.int64)
+    return obj
+
+
+def _rows_fault(bag_id: str, rows, feature_dim: int) -> str:
+    """Why a bag's instances are not an (N, feature_dim) array of numbers."""
+    if isinstance(rows, (list, np.ndarray)):
+        for r, row in enumerate(rows):
+            if isinstance(row, (list, np.ndarray)) and len(row) != feature_dim:
+                return (f"bag {bag_id!r} row {r} has {len(row)} values, "
+                        f"expected feature_dim={feature_dim}")
+    return f"bag {bag_id!r} instances must be a non-empty list of rows of numbers"
+
+
+def load_dataset(path) -> Dataset:
+    """The dataset in ``path``; every fault is a DataFormatError naming the file.
+    Loading peaks at about twice the file size (its bytes and its text) plus
+    the arrays: ``_bag_arrays`` converts each bag as soon as it is parsed."""
+    doc = jsonio.load(path, object_hook=_bag_arrays)
+    try:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-            raise DataFormatError(f"{path}: not a dataset file")
+            raise DataFormatError("not a dataset file")
         if doc.get("format_version") != DATASET_VERSION:
-            raise DataFormatError(f"{path}: unsupported dataset version")
-        feature_dim = int(doc["feature_dim"])
-        num_classes = int(doc["num_classes"])
+            raise DataFormatError("unsupported dataset version")
+        feature_dim = decode(doc["feature_dim"], int, "feature_dim")
+        num_classes = decode(doc["num_classes"], int, "num_classes")
         bags = []
         split_of = {}
         for rec in doc["bags"]:
             bag_id = str(rec["id"])
-            rows = rec["instances"]
-            for r, row in enumerate(rows):
-                if len(row) != feature_dim:
-                    raise DataFormatError(
-                        f"{path}: bag {bag_id!r} row {r} has {len(row)} values, "
-                        f"expected feature_dim={feature_dim}"
-                    )
-            features = np.asarray(rows, dtype=np.float64)
+            features = rec["instances"]
+            if not isinstance(features, np.ndarray) or features.shape[1] != feature_dim:
+                raise DataFormatError(_rows_fault(bag_id, features, feature_dim))
             if features.size and not np.all(np.isfinite(features)):
-                raise DataFormatError(f"{path}: bag {bag_id!r} contains NaN/Inf features")
-            bag = Bag(
-                id=bag_id,
-                instances=features,
-                label=int(rec["label"]),
-                instance_labels=rec.get("instance_labels"),
-            )
-            bags.append(bag)
+                raise DataFormatError(f"bag {bag_id!r} contains NaN/Inf features")
+            labels = rec.get("instance_labels")
+            if labels is not None and not isinstance(labels, np.ndarray):
+                raise DataFormatError(f"bag {bag_id!r} instance_labels must be 64-bit integers")
+            label = decode(rec["label"], int, f"bag {bag_id!r} label")
+            bags.append(Bag(id=bag_id, instances=features, label=label, instance_labels=labels))
             if "split" in rec:
                 split_of[bag_id] = str(rec["split"])
         return Dataset(
@@ -286,5 +312,7 @@ def load_dataset(path) -> Dataset:
             split_of=split_of,
             warnings=list(doc.get("warnings", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except DataFormatError as exc:  # from here, Bag or Dataset: add the file
+        raise DataFormatError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: malformed dataset ({type(exc).__name__}: {exc})") from exc

@@ -33,3 +33,9 @@ class NumericsError(AcmilError):
     """Non-finite value produced where a finite one is required."""
 
     kind = "numerics"
+
+
+class RunError(AcmilError):
+    """Every run of an ablation sweep failed."""
+
+    kind = "run"

@@ -59,16 +59,17 @@ def dump(obj: Any, path) -> None:
     write_text(path, dumps(obj))
 
 
-def loads(text: str) -> Any:
+def loads(text: str, object_hook=None) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
-        raise DataFormatError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise DataFormatError(f"malformed JSON at line {exc.lineno} column {exc.colno}: "
+                              f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits; deep nesting
+        raise DataFormatError(f"malformed JSON: {exc}") from exc
 
 
-def load(path) -> Any:
+def load(path, object_hook=None) -> Any:
     """The document in ``path``; a DataFormatError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -78,6 +79,7 @@ def load(path) -> Any:
                 f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
             ) from exc
     try:
-        return loads(text)
+        return loads(text, object_hook)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc.__cause__
+

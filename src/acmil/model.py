@@ -31,11 +31,12 @@ shortest round-trip text; the reload is bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import jsonio
+from .config import decode
 from .errors import ConfigError, DataFormatError
 from .rng import Rng
 
@@ -169,14 +170,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version")
         dd = doc["dims"]
-        dims = ModelDims(
-            feature_dim=int(dd["feature_dim"]),
-            embed_dim=int(dd["embed_dim"]),
-            attn_dim=int(dd["attn_dim"]),
-            branches=int(dd["branches"]),
-            classes=int(dd["classes"]),
-        )
-        model = Model(dims, str(doc["activation"]), seed=int(doc.get("seed", 0)))
+        dims = ModelDims(**{f.name: decode(dd[f.name], int, f"dims.{f.name}")
+                            for f in fields(ModelDims)})
+        model = Model(dims, str(doc["activation"]),
+                      seed=decode(doc.get("seed", 0), int, "seed"))
         if model.activation not in ACTIVATIONS:
             raise DataFormatError(f"{path}: unknown activation {model.activation!r}")
         params = doc["params"]
@@ -195,6 +192,6 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if not isinstance(config, dict):
             raise DataFormatError(f"{path}: checkpoint config must be an object")
         return model, config
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         kind = type(exc).__name__
         raise DataFormatError(f"{path}: malformed checkpoint ({kind}: {exc})") from exc

@@ -53,19 +53,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def cosine_similarity(u, v) -> float:
-    """u.v / (|u| |v|); in [0, 1] for nonnegative inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("cosine_similarity requires two equal-length vectors")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine_similarity is undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def stable_argsort_desc(values) -> np.ndarray:
     """Indices of ``values`` in descending order; ties keep ascending index."""
     v = np.asarray(values, dtype=np.float64)

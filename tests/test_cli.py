@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acmil
 from acmil import jsonio
@@ -36,8 +41,15 @@ TINY_TRAIN = {
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    """``doc`` as JSON text; a string is written as it is."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+def with_raw(doc, text: str) -> str:
+    """``doc`` as JSON text with the string ``"@"`` replaced by ``text``,
+    for values the encoder never writes (``1e400``)."""
+    return json.dumps(doc).replace('"@"', text)
 
 
 @pytest.fixture()
@@ -246,6 +258,8 @@ NO_DIMS = {k: v for k, v in FIXTURE_DOC.items() if k != "dims"}
 TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
 STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
                                             stkim={"count": 10, "prob": "x"}))
+RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
+RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
 
 # (command, config, grid, dataset, checkpoint, error prefix, text the line names,
 #  *extra flags); a dataset of NO_FLAG leaves out the --data flag
@@ -293,6 +307,14 @@ ERROR_CASES = {
                           "error:config:", "required: --data"),
     "ablate-jobs-zero": ("ablate", None, {"M": [1]}, None, None,
                          "error:config:", "--jobs must be >= 1", "--jobs", "0"),
+    "ablate-missing-split": ("ablate", None, {"M": [1]}, None, None,
+                             "error:config:", "no bags in the 'val' split"),
+    "label-1e400": ("train", None, None, with_raw(RAW_LABEL, "1e400"), None,
+                    "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
+    "label-1.5": ("train", None, None, with_raw(RAW_LABEL, "1.5"), None,
+                  "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
+    "dims-1e400": ("eval", None, None, GOOD_DATASET, with_raw(RAW_DIM, "1e400"),
+                   "error:data-format:", "dims.feature_dim: expected an integer, got a number"),
 }
 
 
@@ -352,3 +374,96 @@ def test_ablate_on_a_missing_dataset_fails_before_any_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:io:")
     assert not (out / "cells").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ablate_exits_1_when_every_run_fails(tiny_data, tmp_path, capsys):
+    # lr0 = 1e300 overflows the first forward pass after the first Adam step
+    cfg = write_json(tmp_path / "train.json", {"train": dict(TINY_TRAIN, epochs=1, lr0=1e300)})
+    out = tmp_path / "sweep"
+    argv = ["ablate", "--data", str(tiny_data), "--config", cfg, "--out", str(out),
+            "--grid", write_json(tmp_path / "grid.json", {"M": [1], "n_seeds": 2})]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:run: all 2 runs failed; first: M1 seed0: NumericsError:")
+    assert (out / "summary.csv").read_text().count("NumericsError") == 2
+
+
+# ------------------------------------------------------------ malformed files
+
+VALID_DATASET = {
+    "format": "acmil-dataset", "format_version": 1, "feature_dim": 2, "num_classes": 2,
+    "bags": [
+        {"id": "b0", "label": 0, "split": "train", "instance_labels": [0, 1],
+         "instances": [[0.5, 1.5], [2.5, -1.0]]},
+        {"id": "b1", "label": 1, "split": "val", "instances": [[1.0, 2.0]]},
+    ],
+}
+TEXT = st.text(max_size=4).filter(lambda t: t != "@")
+NOT_A_NUMBER = st.one_of(TEXT, st.none(), st.just([1.5]), st.just([]))
+NOT_A_LIST = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), TEXT,
+                       st.just({}), st.just([]))
+NOT_AN_INT = st.sampled_from(["1.5", "true", "1e400"])
+
+
+@st.composite
+def malformed_files(draw):
+    """(command, dataset text, checkpoint text) with one fault in one of the files."""
+    command = draw(st.sampled_from(["train", "eval", "ablate"]))
+    dataset = json.loads(json.dumps(VALID_DATASET))
+    checkpoint = FIXTURE.read_text()
+    bag = dataset["bags"][draw(st.integers(0, 1))]
+    fault = draw(st.sampled_from(["ragged", "feature", "instances", "record", "integer",
+                                  "cut", *(["checkpoint-integer", "checkpoint-cut"]
+                                           if command == "eval" else [])]))
+    if fault == "ragged":
+        bag["instances"].append([0.5] * draw(st.sampled_from([0, 1, 3])))
+    elif fault == "feature":
+        bag["instances"][-1][draw(st.integers(0, 1))] = draw(NOT_A_NUMBER)
+    elif fault == "instances":
+        bag["instances"] = draw(NOT_A_LIST)
+    elif fault == "record":
+        dataset["bags"][draw(st.integers(0, 1))] = draw(NOT_A_LIST.filter(
+            lambda v: not isinstance(v, dict)))
+    elif fault == "integer":
+        field = draw(st.sampled_from(["feature_dim", "num_classes", "label", "instance_labels"]))
+        owner = dataset if field in ("feature_dim", "num_classes") else dataset["bags"][0]
+        if field == "instance_labels":
+            owner[field][draw(st.integers(0, 1))] = "@"
+        else:
+            owner[field] = "@"
+    elif fault == "checkpoint-integer":
+        doc = json.loads(checkpoint)
+        if draw(st.booleans()):
+            doc["seed"] = "@"
+        else:
+            doc["dims"][draw(st.sampled_from(sorted(doc["dims"])))] = "@"
+        checkpoint = with_raw(doc, draw(NOT_AN_INT))
+    text = with_raw(dataset, draw(NOT_AN_INT))
+    if fault == "cut":
+        text = text[:draw(st.integers(0, text.rindex("}")))]
+    elif fault == "checkpoint-cut":
+        checkpoint = checkpoint[:draw(st.integers(0, checkpoint.rindex("}")))]
+    return command, text, checkpoint, fault.startswith("checkpoint")
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=malformed_files())
+def test_a_malformed_file_is_one_data_format_line(case):
+    command, dataset, checkpoint, checkpoint_at_fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = write_json(tmp / "data.json", dataset)
+        argv = [command, "--data", data, "--out", str(tmp / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", write_json(tmp / "ckpt.json", checkpoint)]
+        if command == "ablate":
+            argv += ["--grid", write_json(tmp / "grid.json", {"M": [1], "n_seeds": 1})]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        err = err.getvalue()
+        assert len(err.splitlines()) == 1 and err.startswith("error:data-format:")
+        assert str(tmp / ("ckpt.json" if checkpoint_at_fault else "data.json")) in err
+        assert not (tmp / "out").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,45 @@ def test_text_round_trip_preserves_values_exactly(tmp_path):
         assert a.id == b.id and a.label == b.label
         assert np.array_equal(a.instances, b.instances)
         assert np.array_equal(a.instance_labels, b.instance_labels)
+
+
+@pytest.mark.parametrize("instance_labels", [True, False])
+def test_reload_is_bit_equal_and_resaves_byte_identically(tmp_path, instance_labels):
+    ds = split_dataset(generate_synthetic(small_config(seed=4)), (0.6, 0.2, 0.2), 4)
+    if not instance_labels:
+        for b in ds.bags:
+            b.instance_labels = None
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_dataset(ds, p1)
+    loaded = load_dataset(p1)
+    assert loaded.split_of == ds.split_of and loaded.provenance == ds.provenance
+    for a, b in zip(ds.bags, loaded.bags, strict=True):
+        assert (a.id, a.label) == (b.id, b.label)
+        assert b.instances.dtype == np.float64 and b.instances.shape == a.instances.shape
+        assert b.instances.tobytes() == a.instances.tobytes()
+        if instance_labels:
+            assert b.instance_labels.dtype == np.int64
+            assert b.instance_labels.tobytes() == a.instance_labels.tobytes()
+        else:
+            assert b.instance_labels is None
+    save_dataset(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loading_peaks_below_twice_the_file_plus_the_arrays(tmp_path):
+    # the file's bytes and its decoded text are both held for a moment; the
+    # bags must not also be held as Python lists, at 32 bytes per value
+    path = tmp_path / "ds.json"
+    save_dataset(generate_synthetic(small_config(feature_dim=16, instances_min=40,
+                                                 instances_max=60)), path)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(b.instances.nbytes + b.instance_labels.nbytes for b in ds.bags)
+    assert peak < 2 * path.stat().st_size + arrays
 
 
 def test_load_rejects_wrong_row_length(tmp_path):

@@ -90,6 +90,14 @@ def test_non_utf8_file_is_a_data_format_error_naming_it(tmp_path):
         jsonio.load(path)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep"])
+def test_an_overlong_integer_or_deep_nesting_is_a_data_format_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"{path}: malformed JSON"):
+        jsonio.load(path)
+
+
 # ------------------------------------------------------------ truncated files
 
 

@@ -13,8 +13,8 @@ from acmil.losses import (
 )
 from acmil.mil import StkimConfig, mba_forward
 from acmil.model import ModelDims, init_model
-from acmil.numerics import cosine_similarity
 from acmil.rng import Rng
+from test_numerics import cosine_similarity
 
 
 def make_trace(seed=0, m=3, n=10, label=1, prob=0.6, classes=2):

@@ -6,13 +6,25 @@ import pytest
 
 from acmil.errors import NumericsError
 from acmil.numerics import (
-    cosine_similarity,
     finite_diff_check,
     sigmoid,
     softmax,
     stable_argsort_desc,
 )
 from acmil.rng import Rng
+
+
+def cosine_similarity(u, v) -> float:
+    """u.v / (|u| |v|); in [0, 1] for nonnegative inputs.  A test reference only."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("cosine_similarity requires two equal-length vectors")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine_similarity is undefined for a zero vector")
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def test_softmax_symmetry():
