@@ -50,7 +50,6 @@ from .mil import (
     aggregate,
     average_heatmap,
     embed_instances,
-    gated_attention,
     mba_forward,
     pooling_forward,
     stkim_mask,
@@ -103,7 +102,6 @@ __all__ = [
     "embed_instances",
     "evaluate",
     "finite_diff_check",
-    "gated_attention",
     "generate_synthetic",
     "init_model",
     "instance_localization_auc",

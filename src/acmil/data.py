@@ -252,7 +252,12 @@ def _float_rows(rows):
         a = np.array(rows)
     except ValueError:  # ragged
         return rows
-    return a.astype(np.float64, copy=False) if a.ndim == 2 and a.dtype.kind in "fiu" else rows
+    if a.ndim != 2 or a.dtype.kind not in "fiu":
+        return rows
+    # a JSON boolean is not a number, but np.array reads it as 1 or 0
+    if any(type(rows[i][j]) is bool for i, j in zip(*np.nonzero((a == 0) | (a == 1)))):
+        return rows
+    return a.astype(np.float64, copy=False)
 
 
 def _bag_arrays(obj: dict) -> dict:

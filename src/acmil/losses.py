@@ -127,6 +127,9 @@ def backward(
     The masks recorded on the trace are treated as constants, exactly like
     the rest of the trace.
     """
+    if trace.gates is None:
+        raise ValueError("the trace has no gates: its forward pass had a workspace for "
+                         "fewer than M branches, so it kept none for backward")
     label = bag.label
     m, l = model.dims.branches, model.dims.attn_dim
     h = trace.embeddings

@@ -11,11 +11,14 @@ One bag flows through as
     Z   = A H                                        (M, E) branch embeddings
     z   = mean_i(A_i) H = mean_i Z_i                 (E,) bag embedding
 
-V and U stack the M branches' (L, E) matrices, so one batched product of H
-with the (2, ML, E) stack [V; U] scores every branch; the gates are computed
-in place in that product's output buffer, whose two halves are contiguous.
-The buffer may be the head of a caller's flat ``workspace``; the trace's gates
-then view it and stay valid until the next forward pass with that workspace.
+V and U stack the M branches' (L, E) matrices.  The branches are scored in
+chunks: one batched product of H with a chunk's slice of the (2, ML, E) stack
+[V; U], its gates computed in place in that product's output buffer.  The
+buffer is the head of a caller's flat ``workspace`` (or a new array for all M
+branches), and a chunk holds as many branches as it fits.  When that is all
+M, as in training, the trace's gates view it and stay valid until the next
+forward pass with that workspace; otherwise they are None, and ``backward``
+cannot run on the trace.  Evaluation holds one branch's gates at a time.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
@@ -117,7 +120,7 @@ class ForwardTrace:
 
     pre_activations: np.ndarray  # (N, E) before the embedding nonlinearity
     embeddings: np.ndarray  # (N, E)
-    gates: np.ndarray  # (2, N, M, L): tanh(H V^T) and sigm(H U^T); may view a workspace
+    gates: np.ndarray | None  # (2, N, M, L) tanh(H V^T), sigm(H U^T); None if chunked
     raw_attention: np.ndarray  # (M, N) pre-mask softmax output
     attention: np.ndarray  # (M, N) post-mask, rows sum to 1
     zeroed: np.ndarray  # bool (M, N), True where the mask zeroed the value
@@ -154,37 +157,36 @@ def embed_instances(bag: Bag, model: Model) -> np.ndarray:
     return h
 
 
-def gate_workspace(model: Model, bags) -> np.ndarray:
-    """A flat buffer that holds the gates of the largest of ``bags``."""
+def gate_workspace(model: Model, bags, branches: int | None = None) -> np.ndarray:
+    """A flat buffer that holds the gates of ``branches`` branches (all M by
+    default) for the largest of ``bags``."""
     n = max(bag.n_instances for bag in bags)
-    return np.empty(2 * n * model.dims.branches * model.dims.attn_dim)
+    return np.empty(2 * n * (branches or model.dims.branches) * model.dims.attn_dim)
 
 
-def _gates(h: np.ndarray, model: Model, workspace: np.ndarray | None = None) -> np.ndarray:
-    """(2, N, M, L) gate buffer [tanh(H V^T); sigm(H U^T)], activated in place in
-    the head of ``workspace`` or, without one, in a new array."""
+def _gated_scores(h: np.ndarray, model: Model, workspace: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(M, N) scores w_i . (T_i * S_i) of every branch, and the (2, N, M, L) gates
+    [tanh(H V^T); sigm(H U^T)], or None when ``workspace`` holds fewer than M
+    branches.  The branches are scored in chunks of as many as the workspace
+    holds (all M in a new array without one), each activated in place there."""
     n, m, l = len(h), model.dims.branches, model.dims.attn_dim
-    size, out = 2 * n * m * l, None
-    if workspace is not None:
-        if workspace.dtype != np.float64 or workspace.size < size:
-            raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
-                             f"the gates need {size} float64")
-        out = workspace[:size].reshape(2, n, m * l)
-    g = np.matmul(h, model.att_vu.transpose(0, 2, 1), out=out)
-    np.tanh(g[0], out=g[0])
-    sigmoid(g[1], out=g[1])
-    return g.reshape(2, n, m, l)
-
-
-def _scores(gates: np.ndarray, model: Model) -> np.ndarray:
-    """(M, N) scores w_i . (T_i * S_i) of every branch."""
-    t, s = gates
-    return np.einsum("nml,nml,ml->mn", t, s, model.att_w, order="C")
-
-
-def gated_attention(embeddings: np.ndarray, model: Model) -> np.ndarray:
-    """(M, N) softmax-normalised gated attention of every branch."""
-    return softmax(_scores(_gates(embeddings, model), model))
+    if workspace is None:
+        workspace = np.empty(2 * n * m * l)
+    elif workspace.dtype != np.float64 or workspace.size < 2 * n * l:
+        raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
+                         f"one branch's gates need {2 * n * l} float64")
+    chunk = min(m, workspace.size // (2 * n * l))
+    scores = np.empty((m, n))
+    for b in range(0, m, chunk):
+        k = min(chunk, m - b)
+        out = workspace[:2 * n * k * l].reshape(2, n, k * l)
+        g = np.matmul(h, model.att_vu[:, b * l:(b + k) * l].transpose(0, 2, 1), out=out)
+        np.tanh(g[0], out=g[0])
+        sigmoid(g[1], out=g[1])
+        t, s = g.reshape(2, n, k, l)
+        np.einsum("nml,nml,ml->mn", t, s, model.att_w[b:b + k], out=scores[b:b + k])
+    return scores, g.reshape(2, n, m, l) if chunk == m else None
 
 
 def stkim_mask(
@@ -260,12 +262,13 @@ def mba_forward(
     Branches draw their masks independently, in branch order, from ``rng``;
     ``frozen_masks`` (M, N) replays recorded ones instead.  With one branch
     and masking off this is exactly the classic single-head gated-attention
-    pipeline.  A flat float64 ``workspace`` of at least 2·N·M·L values (see
-    ``gate_workspace``) holds the gates instead of a new array.
+    pipeline.  A flat float64 ``workspace`` of at least 2·N·L values (see
+    ``gate_workspace``) holds the gates instead of a new array; one of fewer
+    than 2·N·M·L leaves the trace without gates.
     """
     pre, h = _embed(bag, model)
-    gates = _gates(h, model, workspace)
-    raw = softmax(_scores(gates, model))
+    scores, gates = _gated_scores(h, model, workspace)
+    raw = softmax(scores)
     attention = raw.copy()
     zeroed = np.zeros(raw.shape, dtype=bool)
     renormalized = np.zeros(len(raw), dtype=bool)

@@ -205,6 +205,7 @@ def _selection_value(record: EpochRecord, metric: str) -> float:
     return record.val_macro_f1
 
 
+@np.errstate(all="ignore")  # the finiteness checks raise NumericsError instead
 def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     """Train on the dataset's train split, selecting the best-validation epoch."""
     train_bags = dataset.bags_in("train")
@@ -265,6 +266,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     return best_model, TrainHistory(records=records, selected_epoch=best_epoch)
 
 
+@np.errstate(all="ignore")  # the finiteness checks raise NumericsError instead
 def evaluate(
     model: Model,
     bags: list[Bag],
@@ -281,8 +283,8 @@ def evaluate(
     test-time-masking ablation), in which case draws come from a stream of
     ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
     the diversity term only if ``include_diversity``; training validates
-    each epoch through this pass.  One gate workspace, sized for the largest
-    bag, serves every bag of the call.
+    each epoch through this pass.  One gate workspace, sized for one branch
+    of the largest bag, serves every branch of every bag of the call.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -301,7 +303,7 @@ def evaluate(
     pair_cosines: list[float] = []
     attention_export: dict[str, np.ndarray] = {}
     embedding_export: dict[str, np.ndarray] = {}
-    workspace = gate_workspace(model, bags)
+    workspace = gate_workspace(model, bags, branches=1)
     for i, bag in enumerate(bags):
         trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval, workspace=workspace)
         if not masking_active and trace.zeroed.any():

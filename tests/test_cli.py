@@ -259,6 +259,7 @@ TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
 STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
                                             stkim={"count": 10, "prob": "x"}))
 RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
+BOOL_FEATURE = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], instances=[[True, 1.5]])])
 RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
 
 # (command, config, grid, dataset, checkpoint, error prefix, text the line names,
@@ -313,6 +314,8 @@ ERROR_CASES = {
                     "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
     "label-1.5": ("train", None, None, with_raw(RAW_LABEL, "1.5"), None,
                   "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
+    "feature-true": ("train", None, None, BOOL_FEATURE, None,
+                     "error:data-format:", "bag 'b0' instances must be"),
     "dims-1e400": ("eval", None, None, GOOD_DATASET, with_raw(RAW_DIM, "1e400"),
                    "error:data-format:", "dims.feature_dim: expected an integer, got a number"),
 }
@@ -339,20 +342,21 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_python_m_acmil_runs_the_cli(tmp_path):
+def run_module(cwd, *argv):
+    """``python -m acmil`` in a fresh process, with this checkout's package on the path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(acmil.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "acmil", *argv], env=env, cwd=cwd,
+                           capture_output=True, text=True, timeout=120)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "acmil", *argv], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
 
+def test_python_m_acmil_runs_the_cli(tmp_path):
     out = str(tmp_path / "out")
     for argv in (["train", "--data", "missing.json", "--out", out], ["train", "--out", out]):
-        proc = run(*argv)
+        proc = run_module(tmp_path, *argv)
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
-    proc = run("--help")
+    proc = run_module(tmp_path, "--help")
     assert proc.returncode == 0 and proc.stdout.startswith("usage: acmil")
 
 
@@ -376,7 +380,6 @@ def test_ablate_on_a_missing_dataset_fails_before_any_run(tmp_path, capsys):
     assert not (out / "cells").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ablate_exits_1_when_every_run_fails(tiny_data, tmp_path, capsys):
     # lr0 = 1e300 overflows the first forward pass after the first Adam step
     cfg = write_json(tmp_path / "train.json", {"train": dict(TINY_TRAIN, epochs=1, lr0=1e300)})
@@ -388,6 +391,19 @@ def test_ablate_exits_1_when_every_run_fails(tiny_data, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error:run: all 2 runs failed; first: M1 seed0: NumericsError:")
     assert (out / "summary.csv").read_text().count("NumericsError") == 2
+
+
+def test_a_diverging_run_prints_only_its_error_line(tiny_data, tmp_path):
+    # numpy's overflow warnings would reach stderr ahead of the error line
+    cfg = write_json(tmp_path / "train.json", {"train": dict(TINY_TRAIN, epochs=1, lr0=1e300)})
+    grid = write_json(tmp_path / "grid.json", {"M": [1], "n_seeds": 2})
+    runs = [("error:numerics:", "train"), ("error:run:", "ablate", "--grid", grid),
+            ("error:run:", "ablate", "--grid", grid, "--jobs", "2")]
+    for i, (prefix, *argv) in enumerate(runs):
+        proc = run_module(tmp_path, *argv, "--data", str(tiny_data), "--config", cfg,
+                          "--out", str(tmp_path / f"out{i}"))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(prefix), proc.stderr
 
 
 # ------------------------------------------------------------ malformed files
@@ -414,13 +430,15 @@ def malformed_files(draw):
     dataset = json.loads(json.dumps(VALID_DATASET))
     checkpoint = FIXTURE.read_text()
     bag = dataset["bags"][draw(st.integers(0, 1))]
-    fault = draw(st.sampled_from(["ragged", "feature", "instances", "record", "integer",
-                                  "cut", *(["checkpoint-integer", "checkpoint-cut"]
+    fault = draw(st.sampled_from(["ragged", "feature", "boolean", "instances", "record",
+                                  "integer", "cut", *(["checkpoint-integer", "checkpoint-cut"]
                                            if command == "eval" else [])]))
     if fault == "ragged":
         bag["instances"].append([0.5] * draw(st.sampled_from([0, 1, 3])))
     elif fault == "feature":
         bag["instances"][-1][draw(st.integers(0, 1))] = draw(NOT_A_NUMBER)
+    elif fault == "boolean":  # among numbers, which np.array would read as 1.0 / 0.0
+        bag["instances"][-1][draw(st.integers(0, 1))] = draw(st.booleans())
     elif fault == "instances":
         bag["instances"] = draw(NOT_A_LIST)
     elif fault == "record":

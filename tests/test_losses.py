@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acmil.bags import Bag
 from acmil.losses import (
+    LOG_CLAMP,
     backward,
     bag_loss,
     branch_loss,
@@ -174,3 +178,27 @@ def test_backward_shapes_match_parameters():
         assert g_name == name
         assert g.shape == p.shape
     assert np.all(np.isfinite(grads.flat))
+
+
+# logit biases of either sign, large enough that a label's probability can fall
+# below LOG_CLAMP (or to exactly 0) while the logits stay finite
+EXTREME = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+                    st.floats(40.0, 1e300))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), label=st.integers(0, 1),
+       bag_bias=hnp.arrays(np.float64, 2, elements=EXTREME),
+       branch_bias=hnp.arrays(np.float64, (3, 2), elements=EXTREME))
+def test_extreme_logits_keep_the_loss_and_gradients_finite(seed, label, bag_bias, branch_bias):
+    _, bag, model = make_trace(seed=seed, m=3, label=label)
+    model.bag_head_b[:] = bag_bias
+    model.head_b[:] = branch_bias
+    trace = mba_forward(bag, model, StkimConfig(count=3, prob=0.6), Rng(seed), training=True)
+    loss = total_loss(trace, label)
+    assert np.all(np.isfinite([loss.bag, loss.branch, loss.diversity, loss.total]))
+    assert max(loss.bag, loss.branch) <= -math.log(LOG_CLAMP)
+    grads = backward(trace, bag, model)
+    assert np.all(np.isfinite(grads.flat))
+    if trace.bag_probs[label] <= LOG_CLAMP:  # clamped: no gradient reaches the bag head
+        assert not grads.bag_head_b.any()

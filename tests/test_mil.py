@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from acmil.bags import Bag
 from acmil.errors import ConfigError
+from acmil.losses import backward
 from acmil.mil import (
     ForwardTrace,
     StkimConfig,
@@ -16,7 +17,6 @@ from acmil.mil import (
     average_heatmap,
     embed_instances,
     gate_workspace,
-    gated_attention,
     mba_forward,
     pooling_forward,
     stkim_mask,
@@ -84,32 +84,37 @@ def test_embed_dimension_mismatch():
 # ---------------------------------------------------------------- attention
 
 
+def raw_attention(bag, model):
+    return mba_forward(bag, model, StkimConfig(), None, training=False).raw_attention
+
+
 def test_gated_attention_single_instance():
     model = tiny_model()
-    h = Rng(0).normal_array((1, 4))
-    assert gated_attention(h, model).tolist() == [[1.0], [1.0]]
+    assert raw_attention(random_bag(0, 1, 3), model).tolist() == [[1.0], [1.0]]
 
 
 def test_gated_attention_identical_rows_uniform():
     model = tiny_model()
-    h = np.tile(Rng(1).normal_array((1, 4)), (6, 1))
-    assert np.allclose(gated_attention(h, model), np.full((2, 6), 1 / 6), atol=1e-12)
+    bag = Bag(id="x", instances=np.tile(Rng(1).normal_array((1, 3)), (6, 1)), label=0)
+    assert np.allclose(raw_attention(bag, model), np.full((2, 6), 1 / 6), atol=1e-12)
 
 
 def test_gated_attention_hand_case():
-    # E = L = 1: score_in = w_i * tanh(v_i h_n) * sigm(u_i h_n), two branches
-    model = Model(ModelDims(feature_dim=1, embed_dim=1, attn_dim=1, branches=2, classes=2), "relu")
+    # D = E = L = 1, identity embedding: score_in = w_i * tanh(v_i h_n) * sigm(u_i h_n)
+    model = Model(ModelDims(feature_dim=1, embed_dim=1, attn_dim=1, branches=2, classes=2),
+                  "identity")
+    model.embed_w[:] = 1.0
     model.att_v[:, 0, 0] = [2.0, -1.0]
     model.att_u[:, 0, 0] = [0.0, 3.0]
     model.att_w[:, 0] = [1.0, 0.5]
-    h = np.array([[1.0], [-1.0]])
+    bag = Bag(id="x", instances=np.array([[1.0], [-1.0]]), label=0)
     s3 = 1.0 / (1.0 + math.exp(-3.0))  # sigm(3); sigm(-3) = 1 - s3
     scores = [
         [math.tanh(2.0) * 0.5, math.tanh(-2.0) * 0.5],
         [0.5 * math.tanh(-1.0) * s3, 0.5 * math.tanh(1.0) * (1.0 - s3)],
     ]
     expected = np.array([softmax(np.array(row)) for row in scores])
-    got = gated_attention(h, model)
+    got = raw_attention(bag, model)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -322,7 +327,7 @@ def test_forward_composition_matches_component_ops():
 
     h = embed_instances(bag, model)
     attns = []
-    for i, raw in enumerate(gated_attention(h, model)):
+    for i, raw in enumerate(raw_attention(bag, model)):
         res = stkim_mask(raw, stkim, None, training=True, frozen_zeroed=trace.branches[i].zeroed)
         attns.append(res.attention)
         z_i = aggregate(res.attention, h)
@@ -349,26 +354,37 @@ def test_forward_permutation_invariance_at_p_zero():
 
 @settings(deadline=None, max_examples=40)
 @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
-       seed=st.integers(0, 2**32 - 1), training=st.booleans())
-def test_forward_with_a_workspace_is_bit_identical(sizes, seed, training):
-    model = tiny_model(seed % 100)
+       seed=st.integers(0, 2**32 - 1), training=st.booleans(),
+       branches=st.integers(1, 3), slack=st.integers(0, 40))
+def test_forward_with_a_workspace_is_bit_identical(sizes, seed, training, branches, slack):
+    # M=3, so a workspace of two branches scores them in a chunk of 2 and one of 1
+    model = tiny_model(seed % 100, ModelDims(feature_dim=3, embed_dim=4, attn_dim=5,
+                                             branches=3, classes=2))
     stkim = StkimConfig(count=3, prob=0.6)
     bags = [random_bag(seed + i, n, 3) for i, n in enumerate(sizes)]
-    ws = gate_workspace(model, bags)
+    ws = np.concatenate([gate_workspace(model, bags, branches), np.empty(slack)])
     ws[:] = np.nan  # a value the forward pass read from the buffer would show
     for i, bag in enumerate(bags):
         want = mba_forward(bag, model, stkim, Rng(seed + i), training)
         got = mba_forward(bag, model, stkim, Rng(seed + i), training, workspace=ws)
+        holds_all = ws.size >= 2 * bag.n_instances * 3 * 5
+        assert (got.gates is None) == (not holds_all)
         for f in fields(ForwardTrace):
             a, b = getattr(want, f.name), getattr(got, f.name)
+            if b is None:
+                continue
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
             assert np.shares_memory(b, ws) == (f.name == "gates"), f.name
+        if not holds_all:
+            with pytest.raises(ValueError, match="no gates"):
+                backward(got, bag, model)
 
 
 def test_a_workspace_too_small_or_not_float64_is_refused():
-    model = tiny_model()  # M=2, L=5: a bag of 4 needs 2*4*2*5 = 80 values
-    for ws, held in [(np.empty(79), "79 float64"), (np.empty(80, np.float32), "80 float32")]:
-        with pytest.raises(ValueError, match=f"holds {held} values, the gates need 80 float64"):
+    model = tiny_model()  # L=5: one branch of a bag of 4 needs 2*4*5 = 40 values
+    for ws, held in [(np.empty(39), "39 float64"), (np.empty(40, np.float32), "40 float32")]:
+        with pytest.raises(ValueError,
+                           match=f"holds {held} values, one branch's gates need 40 float64"):
             mba_forward(random_bag(0, 4, 3), model, StkimConfig(), None, training=False,
                         workspace=ws)
 

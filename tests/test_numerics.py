@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acmil.errors import NumericsError
 from acmil.numerics import (
@@ -55,6 +58,15 @@ def test_softmax_sums_to_one_over_wide_range():
         s = softmax(x)
         assert abs(s.sum() - 1.0) < 1e-12
         assert (s >= 0.0).all()
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 50),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_softmax_of_any_finite_vector_is_finite_and_sums_to_one(x):
+    with np.errstate(over="ignore"):  # x - max x may overflow to -inf, whose exp is 0
+        s = softmax(x)
+    assert np.all(np.isfinite(s)) and (s >= 0.0).all()
+    assert abs(s.sum() - 1.0) < 1e-12
 
 
 def test_softmax_shift_invariance_exact_for_exact_shifts():
