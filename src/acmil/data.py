@@ -14,6 +14,7 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -254,8 +255,9 @@ def _float_rows(rows):
         return rows
     if a.ndim != 2 or a.dtype.kind not in "fiu":
         return rows
-    # a JSON boolean is not a number, but np.array reads it as 1 or 0
-    if any(type(rows[i][j]) is bool for i, j in zip(*np.nonzero((a == 0) | (a == 1)))):
+    # np.array reads a JSON boolean as 1 or 0; the type of every value is
+    # checked, so the cost does not depend on how many values are 0 or 1
+    if bool in set(map(type, chain.from_iterable(rows))):
         return rows
     return a.astype(np.float64, copy=False)
 

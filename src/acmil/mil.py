@@ -11,14 +11,14 @@ One bag flows through as
     Z   = A H                                        (M, E) branch embeddings
     z   = mean_i(A_i) H = mean_i Z_i                 (E,) bag embedding
 
-V and U stack the M branches' (L, E) matrices.  The branches are scored in
-chunks: one batched product of H with a chunk's slice of the (2, ML, E) stack
-[V; U], its gates computed in place in that product's output buffer.  The
-buffer is the head of a caller's flat ``workspace`` (or a new array for all M
-branches), and a chunk holds as many branches as it fits.  When that is all
-M, as in training, the trace's gates view it and stay valid until the next
-forward pass with that workspace; otherwise they are None, and ``backward``
-cannot run on the trace.  Evaluation holds one branch's gates at a time.
+V and U stack the M branches' (L, E) matrices.  The gates are computed in
+place in the output buffer of a batched product of H with the (2, ML, E)
+stack [V; U]: the head of a caller's flat ``workspace``, or a new array.
+When the workspace holds all M branches of the bag, as in training, that is
+one product, and the trace's gates view it until the next forward pass with
+that workspace.  Otherwise the branches are scored one at a time, each with
+its (2, L, E) slice of the stack, as evaluation does for large bags; the
+trace's gates are then None, and ``backward`` cannot run on it.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
@@ -120,7 +120,7 @@ class ForwardTrace:
 
     pre_activations: np.ndarray  # (N, E) before the embedding nonlinearity
     embeddings: np.ndarray  # (N, E)
-    gates: np.ndarray | None  # (2, N, M, L) tanh(H V^T), sigm(H U^T); None if chunked
+    gates: np.ndarray | None  # (2, N, M, L) tanh(H V^T), sigm(H U^T); None if scored by branch
     raw_attention: np.ndarray  # (M, N) pre-mask softmax output
     attention: np.ndarray  # (M, N) post-mask, rows sum to 1
     zeroed: np.ndarray  # bool (M, N), True where the mask zeroed the value
@@ -157,26 +157,30 @@ def embed_instances(bag: Bag, model: Model) -> np.ndarray:
     return h
 
 
-def gate_workspace(model: Model, bags, branches: int | None = None) -> np.ndarray:
-    """A flat buffer that holds the gates of ``branches`` branches (all M by
-    default) for the largest of ``bags``."""
-    n = max(bag.n_instances for bag in bags)
-    return np.empty(2 * n * (branches or model.dims.branches) * model.dims.attn_dim)
+def gate_workspace(model: Model, bags, limit: int | None = None) -> np.ndarray:
+    """A flat buffer for the gates of all M branches of the largest of ``bags``,
+    or, with a ``limit`` in values, of no more than the larger of that limit
+    and one branch of it: every bag whose M branches fit the limit is then
+    scored in one product, and a larger bag one branch at a time."""
+    one = 2 * max(bag.n_instances for bag in bags) * model.dims.attn_dim
+    whole = one * model.dims.branches
+    return np.empty(whole if limit is None else min(whole, max(one, limit)))
 
 
 def _gated_scores(h: np.ndarray, model: Model, workspace: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None]:
     """(M, N) scores w_i . (T_i * S_i) of every branch, and the (2, N, M, L) gates
     [tanh(H V^T); sigm(H U^T)], or None when ``workspace`` holds fewer than M
-    branches.  The branches are scored in chunks of as many as the workspace
-    holds (all M in a new array without one), each activated in place there."""
+    branches.  All M branches are scored in one product if the workspace holds
+    them (a new array without one), else one branch at a time, each activated
+    in place there."""
     n, m, l = len(h), model.dims.branches, model.dims.attn_dim
     if workspace is None:
         workspace = np.empty(2 * n * m * l)
     elif workspace.dtype != np.float64 or workspace.size < 2 * n * l:
         raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
                          f"one branch's gates need {2 * n * l} float64")
-    chunk = min(m, workspace.size // (2 * n * l))
+    chunk = m if workspace.size >= 2 * n * m * l else 1
     scores = np.empty((m, n))
     for b in range(0, m, chunk):
         k = min(chunk, m - b)
@@ -264,7 +268,8 @@ def mba_forward(
     and masking off this is exactly the classic single-head gated-attention
     pipeline.  A flat float64 ``workspace`` of at least 2·N·L values (see
     ``gate_workspace``) holds the gates instead of a new array; one of fewer
-    than 2·N·M·L leaves the trace without gates.
+    than 2·N·M·L scores the branches one at a time and leaves the trace
+    without gates.
     """
     pre, h = _embed(bag, model)
     scores, gates = _gated_scores(h, model, workspace)

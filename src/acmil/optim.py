@@ -38,6 +38,9 @@ from .model import Model, ModelDims, Params, init_model
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
+# 4 MiB of gates: all M=5 branches of a 400-instance bag at L=128 are scored in
+# one product at evaluation, as in training; larger bags one branch at a time
+EVAL_GATE_VALUES = 2**19
 
 _INIT_STREAM = 0
 
@@ -283,8 +286,9 @@ def evaluate(
     test-time-masking ablation), in which case draws come from a stream of
     ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
     the diversity term only if ``include_diversity``; training validates
-    each epoch through this pass.  One gate workspace, sized for one branch
-    of the largest bag, serves every branch of every bag of the call.
+    each epoch through this pass.  A bag whose M branches' gates fit in
+    ``EVAL_GATE_VALUES`` values is scored in one product, a larger bag one
+    branch at a time (memory N·L, not N·M·L), whatever bags share the call.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -303,9 +307,10 @@ def evaluate(
     pair_cosines: list[float] = []
     attention_export: dict[str, np.ndarray] = {}
     embedding_export: dict[str, np.ndarray] = {}
-    workspace = gate_workspace(model, bags, branches=1)
+    workspace = gate_workspace(model, bags, limit=EVAL_GATE_VALUES)
     for i, bag in enumerate(bags):
-        trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval, workspace=workspace)
+        ws = workspace[:max(EVAL_GATE_VALUES, 2 * bag.n_instances * model.dims.attn_dim)]
+        trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval, workspace=ws)
         if not masking_active and trace.zeroed.any():
             raise AssertionError("masking leaked into validation")
         loss = total_loss(trace, bag.label, include_diversity=include_diversity)

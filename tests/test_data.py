@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,23 @@ def test_text_round_trip_preserves_values_exactly(tmp_path):
         assert a.id == b.id and a.label == b.label
         assert np.array_equal(a.instances, b.instances)
         assert np.array_equal(a.instance_labels, b.instance_labels)
+
+
+@pytest.mark.parametrize("rows, loads", [
+    ([[0, 1], [1, 0]], True),
+    ([[0.0, 0], [0.0, 1.0]], True),
+    ([[0, 0], [0, True]], False),
+    ([[False, 0.5], [0.0, 1.0]], False),
+])
+def test_features_of_zeros_and_ones_load_and_a_boolean_among_them_does_not(tmp_path, rows, loads):
+    path = tmp_path / "ds.json"
+    save_dataset(Dataset(2, 2, [Bag(id="b0", instances=np.zeros((2, 2)), label=0)]), path)
+    path.write_text(path.read_text().replace("[[0.0,0.0],[0.0,0.0]]", json.dumps(rows)))
+    if loads:
+        assert np.array_equal(load_dataset(path).bags[0].instances, np.array(rows, float))
+    else:
+        with pytest.raises(DataFormatError, match="bag 'b0' instances must be"):
+            load_dataset(path)
 
 
 @pytest.mark.parametrize("instance_labels", [True, False])

@@ -357,12 +357,12 @@ def test_forward_permutation_invariance_at_p_zero():
        seed=st.integers(0, 2**32 - 1), training=st.booleans(),
        branches=st.integers(1, 3), slack=st.integers(0, 40))
 def test_forward_with_a_workspace_is_bit_identical(sizes, seed, training, branches, slack):
-    # M=3, so a workspace of two branches scores them in a chunk of 2 and one of 1
+    # M=3: a workspace of one or two branches of the largest bag scores it by branch
     model = tiny_model(seed % 100, ModelDims(feature_dim=3, embed_dim=4, attn_dim=5,
                                              branches=3, classes=2))
     stkim = StkimConfig(count=3, prob=0.6)
     bags = [random_bag(seed + i, n, 3) for i, n in enumerate(sizes)]
-    ws = np.concatenate([gate_workspace(model, bags, branches), np.empty(slack)])
+    ws = np.empty(2 * max(sizes) * branches * 5 + slack)
     ws[:] = np.nan  # a value the forward pass read from the buffer would show
     for i, bag in enumerate(bags):
         want = mba_forward(bag, model, stkim, Rng(seed + i), training)
@@ -378,6 +378,14 @@ def test_forward_with_a_workspace_is_bit_identical(sizes, seed, training, branch
         if not holds_all:
             with pytest.raises(ValueError, match="no gates"):
                 backward(got, bag, model)
+
+
+def test_gate_workspace_holds_all_branches_or_at_most_one_beyond_the_limit():
+    model = tiny_model()  # M=2, L=5: one branch of a bag of 10 is 100 values
+    bags = [random_bag(0, 4, 3), random_bag(1, 10, 3)]
+    assert gate_workspace(model, bags).size == 200
+    for limit, size in [(50, 100), (100, 100), (150, 150), (200, 200), (10**6, 200)]:
+        assert gate_workspace(model, bags, limit=limit).size == size
 
 
 def test_a_workspace_too_small_or_not_float64_is_refused():

@@ -228,6 +228,23 @@ def test_evaluate_report_and_exports_are_pinned(stkim_at_eval):
     assert hashlib.sha256(text.encode()).hexdigest() == EVAL_SHA256[stkim_at_eval]
 
 
+def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
+    # paper dims: 2200 instances exceed EVAL_GATE_VALUES in all M branches, so the
+    # call's workspace holds one branch of that bag, room for all M of the small
+    # bags; a bag of 500 exceeds the limit too.  OpenBLAS rounds a one-branch
+    # product of a bag of 2-9 instances differently from the M-branch one.
+    model = init_model(ModelDims(8, 64, 128, 5, 2), Rng.stream(0, 0), seed=0)
+    rng = np.random.default_rng(3)
+    bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 8)), label=n % 2)
+            for n in (3, 7, 150, 500, 2200)]
+    _, together = evaluate(model, bags)
+    for bag in bags:
+        _, alone = evaluate(model, [bag])
+        assert alone["attention"][bag.id].tobytes() == together["attention"][bag.id].tobytes()
+        assert (alone["embeddings"][bag.id].tobytes()
+                == together["embeddings"][bag.id].tobytes())
+
+
 def test_evaluate_attention_sums_to_one():
     ds = tiny_dataset()
     model, _ = train(ds, quick_config(epochs=2))
