@@ -6,9 +6,12 @@ background only.  Per-instance labels record which pattern produced each
 instance (0 = background) and exist purely for diagnostics.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from acmil import SyntheticConfig, generate_synthetic, save_dataset, split_dataset
+from acmil import SyntheticConfig, generate_synthetic, load_dataset, save_dataset, split_dataset
 
 cfg = SyntheticConfig()  # desk-scale defaults: 2 classes, 32-d features, 60 bags per class
 ds = generate_synthetic(cfg)
@@ -40,5 +43,14 @@ pos_scores, neg_scores = np.sort(scores[y]), np.sort(scores[~y])
 wins = sum(np.searchsorted(neg_scores, s, side="left") for s in pos_scores)
 print(f"\nlinear-probe instance AUC ~= {wins / (len(pos_scores) * len(neg_scores)):.4f}")
 
-save_dataset(ds, "synthetic_bags.json")
-print("\nsaved to synthetic_bags.json (text format; bit-exact round trip)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "synthetic_bags.json"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    size = path.stat().st_size
+assert back.split_of == ds.split_of and back.provenance == ds.provenance
+for a, b in zip(back.bags, ds.bags, strict=True):
+    assert (a.id, a.label) == (b.id, b.label)
+    assert a.instances.tobytes() == b.instances.tobytes()
+    assert a.instance_labels.tobytes() == b.instance_labels.tobytes()
+print(f"\nsaved and reloaded {size / 1e6:.1f} MB of JSON text: every bag is bit-exact")

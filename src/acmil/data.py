@@ -14,7 +14,6 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -247,26 +246,13 @@ def save_dataset(ds: Dataset, path) -> None:
     jsonio.dump(doc, path)
 
 
-def _float_rows(rows):
-    """``rows`` as a float64 array if it is a rectangular 2-d list of numbers, else as given."""
-    try:
-        a = np.array(rows)
-    except ValueError:  # ragged
-        return rows
-    if a.ndim != 2 or a.dtype.kind not in "fiu":
-        return rows
-    # np.array reads a JSON boolean as 1 or 0; the type of every value is
-    # checked, so the cost does not depend on how many values are 0 or 1
-    if bool in set(map(type, chain.from_iterable(rows))):
-        return rows
-    return a.astype(np.float64, copy=False)
-
-
 def _bag_arrays(obj: dict) -> dict:
     """JSON object hook: a bag record's lists become arrays as soon as the decoder
     closes it, so one bag at most is held as lists; ``load_dataset`` reports the rest."""
     if "instances" in obj:
-        obj["instances"] = _float_rows(obj["instances"])
+        rows = jsonio.float_array(obj["instances"])
+        if rows is not None and rows.ndim == 2:
+            obj["instances"] = rows
         labels = obj.get("instance_labels")
         if type(labels) is list and all(type(v) is int and abs(v) < 2**63 for v in labels):
             obj["instance_labels"] = np.array(labels, dtype=np.int64)
@@ -285,8 +271,9 @@ def _rows_fault(bag_id: str, rows, feature_dim: int) -> str:
 
 def load_dataset(path) -> Dataset:
     """The dataset in ``path``; every fault is a DataFormatError naming the file.
-    Loading peaks at about twice the file size (its bytes and its text) plus
-    the arrays: ``_bag_arrays`` converts each bag as soon as it is parsed."""
+    ``jsonio.load`` reads the file a chunk at a time and decodes one bag at a
+    time, and ``_bag_arrays`` converts each bag as soon as it is decoded, so
+    loading peaks at the arrays plus about three chunks, below the file's size."""
     doc = jsonio.load(path, object_hook=_bag_arrays)
     try:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:

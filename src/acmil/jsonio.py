@@ -6,14 +6,22 @@ to the same double, so reloads are bit-exact and save -> load -> save is
 byte-identical.  NaN and Inf are refused.  Numpy arrays and scalars are
 written as their ``tolist()``.  Dict key order is kept as built, which keeps
 output bytes deterministic for deterministically built structures.
+
+``load`` reads a file in 1 MiB chunks and gives what ``json.loads`` gives
+for its text, down to the float bits and the line and column of an error,
+while it holds at most a chunk and a half plus the value being decoded, never
+the whole file.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import os
+import re
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -59,27 +67,159 @@ def dump(obj: Any, path) -> None:
     write_text(path, dumps(obj))
 
 
-def loads(text: str, object_hook=None) -> Any:
+def float_array(value) -> np.ndarray | None:
+    """``value`` as a float64 array if it is a rectangular list of JSON numbers, else None.
+    ``np.array`` alone would read ``true`` as 1.0 and ``"1.5"`` as 1.5."""
     try:
-        return json.loads(text, object_hook=object_hook)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"malformed JSON at line {exc.lineno} column {exc.colno}: "
-                              f"{exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits; deep nesting
-        raise DataFormatError(f"malformed JSON: {exc}") from exc
+        a = np.array(value)
+    except ValueError:  # ragged
+        return None
+    if a.ndim == 0 or a.dtype.kind not in "fiu":
+        return None
+    values = value
+    for _ in range(a.ndim - 1):
+        values = chain.from_iterable(values)
+    # np.array reads a JSON boolean as 1 or 0; the type of every value is
+    # checked, so the cost does not depend on how many values are 0 or 1
+    if bool in set(map(type, values)):
+        return None
+    return a.astype(np.float64, copy=False)
+
+
+_CHUNK = 1 << 20  # bytes read at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*")  # what may still follow a number cut short
+
+
+class _Window:
+    """A file's text, read a chunk at a time: ``buf[pos:]`` is unread and
+    ``buf`` starts at character ``base`` of the file."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.file_size = os.fstat(fh.fileno()).st_size
+        self.bytes_in = 0  # bytes given to the decoder
+        self.buf, self.pos, self.base = "", 0, 0
+        self.lines, self.line_start = 0, 0  # newlines before ``base``; offset after the last
+        self.size = _CHUNK
+
+    def more(self) -> bool:
+        """Drop the read text and append at least one character; False at the end of the file."""
+        text = ""
+        while not text:
+            # never ask for more than the file holds: the reader allocates what is asked
+            data = self.fh.read(min(self.size, max(self.file_size - self.bytes_in, 0) + 1))
+            pending = len(self.utf8.getstate()[0])
+            try:
+                text = self.utf8.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{self.path}: not UTF-8 text (byte "
+                                      f"{self.bytes_in - pending + exc.start}: {exc.reason})"
+                                      ) from exc
+            self.bytes_in += len(data)
+            if not data:
+                return False
+        del data
+        newline = self.buf.rfind("\n", 0, self.pos)  # the fast test: most files are one line
+        if newline >= 0:
+            self.lines += self.buf.count("\n", 0, newline + 1)
+            self.line_start = self.base + newline + 1
+        self.base += self.pos
+        rest, self.buf = self.buf[self.pos:], ""
+        self.buf, self.pos = rest + text, 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after whitespace, not consumed; '' at the end of the file."""
+        self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+        while self.pos == len(self.buf) and self.more():
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+        return self.buf[self.pos : self.pos + 1]
+
+    def value(self, decoder: json.JSONDecoder) -> Any:
+        """One ``raw_decode`` at the cursor, read on while the buffer may cut the value
+        short.  Each read on doubles the read size, so a value of n characters is
+        parsed at most about twice over, not n / chunk times."""
+        if len(self.buf) - self.pos < _CHUNK // 2 and self.bytes_in < self.file_size:
+            self.more()  # so a value of up to half a chunk is parsed once
+        while True:
+            try:
+                value, end = decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more():
+                    self.size *= 2
+                    continue
+                raise self.error(exc.msg, exc.pos) from exc
+            if type(value) in (int, float) and _NUMBER_TAIL.fullmatch(self.buf, end) \
+                    and self.more():  # "1" or "1.5e" may go on in the next chunk
+                self.size *= 2
+                continue
+            self.pos, self.size = end, _CHUNK
+            return value
+
+    def error(self, msg: str, pos: int | None = None) -> DataFormatError:
+        """``msg`` at ``buf[pos]`` (default: the cursor), placed by line and column in the file."""
+        pos = self.pos if pos is None else pos
+        line = self.lines + self.buf.count("\n", 0, pos) + 1
+        newline = self.buf.rfind("\n", 0, pos)
+        column = pos - newline if newline >= 0 else self.base + pos - self.line_start + 1
+        return DataFormatError(f"{self.path}: malformed JSON at line {line} column {column}: {msg}")
+
+
+def _read(window: _Window, decoder: json.JSONDecoder, depth: int = 0) -> Any:
+    """The value at the cursor.  An object or array at depth 0 or 1 is read one member
+    at a time, with the standard library's error messages; a deeper one is one value."""
+    opener = window.peek()
+    if depth == 2 or opener not in ("{", "["):
+        return window.value(decoder)
+    closer = "}" if opener == "{" else "]"
+    window.pos += 1
+    items = []
+    if window.peek() != closer:
+        while True:
+            if opener == "{":
+                if window.peek() != '"':
+                    raise window.error("Expecting property name enclosed in double quotes")
+                key = window.value(decoder)
+                if window.peek() != ":":
+                    raise window.error("Expecting ':' delimiter")
+                window.pos += 1
+                items.append((key, _read(window, decoder, depth + 1)))
+            else:
+                items.append(_read(window, decoder, depth + 1))
+            following = window.peek()
+            if following == closer:
+                break
+            if following != ",":
+                raise window.error("Expecting ',' delimiter")
+            window.pos += 1
+    window.pos += 1
+    if opener == "[":
+        return items
+    obj = dict(items)
+    return decoder.object_hook(obj) if decoder.object_hook else obj
 
 
 def load(path, object_hook=None) -> Any:
-    """The document in ``path``; a DataFormatError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The document in ``path``, equal to ``json.loads`` of its text, read in chunks of
+    ``_CHUNK`` bytes.  The top-level value and each member that is an object or array
+    are taken one member at a time, so a load holds at most a chunk and a half plus
+    the value being decoded, never the whole file.  ``object_hook`` sees every object,
+    innermost first and the top-level one last; it may see an object that a chunk cut
+    short again, so it must change nothing but its argument.  A DataFormatError names
+    the file, with the line and column of malformed JSON and the byte of text that is
+    not UTF-8."""
+    decoder = json.JSONDecoder(object_hook=object_hook)
+    with open(path, "rb") as fh:
+        window = _Window(fh, path)
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(
-                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-            ) from exc
-    try:
-        return loads(text, object_hook)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc.__cause__
-
+            window.more()
+            if window.buf.startswith("\ufeff"):
+                raise window.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+            doc = _read(window, decoder)
+            if window.peek():
+                raise window.error("Extra data")
+        except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits; deep nesting
+            raise DataFormatError(f"{path}: malformed JSON: {exc}") from exc
+    return doc

@@ -38,6 +38,7 @@ import numpy as np
 from . import jsonio
 from .config import decode
 from .errors import ConfigError, DataFormatError
+from .numerics import all_finite
 from .rng import Rng
 
 ACTIVATIONS = ("relu", "identity")
@@ -112,7 +113,7 @@ class Params:
 
     def first_nonfinite(self) -> str | None:
         """v1 name of the first tensor holding a NaN or Inf, or None."""
-        if np.all(np.isfinite(self.flat)):
+        if all_finite(self.flat):
             return None
         return next(name for name, p in self.parameters() if not np.all(np.isfinite(p)))
 
@@ -180,7 +181,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         for name, p in model.parameters():
             if name not in params:
                 raise DataFormatError(f"{path}: missing parameter {name}")
-            a = np.asarray(params[name], dtype=np.float64)
+            a = jsonio.float_array(params[name])
+            if a is None:
+                raise DataFormatError(f"{path}: parameter {name} must be a list of numbers")
             if a.shape != p.shape:
                 raise DataFormatError(
                     f"{path}: parameter {name} has shape {a.shape}, want {p.shape}"

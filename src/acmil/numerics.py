@@ -29,6 +29,13 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise NumericsError(f"non-finite values in {name}")
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite, from one sum; finite entries can sum to Inf,
+    so the entries are checked one by one only when the sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(arr.sum())) or bool(np.all(np.isfinite(arr)))
+
+
 def softmax(logits) -> np.ndarray:
     """Normalised exponentials of a vector, or of each row of a 2-d stack,
     max-subtracted for safety."""

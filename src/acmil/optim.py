@@ -35,6 +35,7 @@ from .metrics import (
 )
 from .mil import StkimConfig, gate_workspace, mba_forward
 from .model import Model, ModelDims, Params, init_model
+from .numerics import all_finite
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
@@ -194,7 +195,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += eps
     update /= denom
-    if not np.all(np.isfinite(update)):
+    if not all_finite(update):
         bad = Params(model.dims, update).first_nonfinite()
         raise NumericsError(f"non-finite Adam update for parameter {bad}")
     p -= update

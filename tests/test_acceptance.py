@@ -10,6 +10,7 @@ import logging
 import time
 
 import numpy as np
+import pytest
 
 from acmil.bags import Bag
 from acmil.cli import main
@@ -134,6 +135,7 @@ def test_criterion_04_single_branch_reduction():
 # -------------------------------------------------------------- criterion 5
 
 
+@pytest.mark.slow
 def test_criterion_05_mechanistic_synthetic_experiment():
     t0 = time.time()
     ds = split_dataset(generate_synthetic(SyntheticConfig()), (0.6, 0.2, 0.2), 0)
@@ -176,6 +178,7 @@ def test_criterion_05_mechanistic_synthetic_experiment():
 # -------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_criterion_06_diversity_loss_ablation_direction():
     t0 = time.time()
     scfg = SyntheticConfig(

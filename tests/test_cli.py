@@ -431,8 +431,9 @@ def malformed_files(draw):
     checkpoint = FIXTURE.read_text()
     bag = dataset["bags"][draw(st.integers(0, 1))]
     fault = draw(st.sampled_from(["ragged", "feature", "boolean", "instances", "record",
-                                  "integer", "cut", *(["checkpoint-integer", "checkpoint-cut"]
-                                           if command == "eval" else [])]))
+                                  "integer", "cut",
+                                  *(["checkpoint-integer", "checkpoint-boolean", "checkpoint-string",
+                                     "checkpoint-cut"] if command == "eval" else [])]))
     if fault == "ragged":
         bag["instances"].append([0.5] * draw(st.sampled_from([0, 1, 3])))
     elif fault == "feature":
@@ -458,6 +459,14 @@ def malformed_files(draw):
         else:
             doc["dims"][draw(st.sampled_from(sorted(doc["dims"])))] = "@"
         checkpoint = with_raw(doc, draw(NOT_AN_INT))
+    elif fault in ("checkpoint-boolean", "checkpoint-string"):  # np.asarray reads 1.0, 1.5
+        doc = json.loads(checkpoint)
+        values = doc["params"][draw(st.sampled_from(sorted(doc["params"])))]
+        if isinstance(values[0], list):
+            values = values[draw(st.integers(0, len(values) - 1))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.booleans() if fault == "checkpoint-boolean" else st.sampled_from(["1.5", "0"]))
+        checkpoint = json.dumps(doc)
     text = with_raw(dataset, draw(NOT_AN_INT))
     if fault == "cut":
         text = text[:draw(st.integers(0, text.rindex("}")))]

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from acmil import jsonio
 from acmil.bags import Bag
 from acmil.data import (
     Dataset,
@@ -148,8 +149,7 @@ def test_reload_is_bit_equal_and_resaves_byte_identically(tmp_path, instance_lab
 
 
 def test_loading_peaks_below_twice_the_file_plus_the_arrays(tmp_path):
-    # the file's bytes and its decoded text are both held for a moment; the
-    # bags must not also be held as Python lists, at 32 bytes per value
+    # the bags must not be held as Python lists, at 32 bytes per value
     path = tmp_path / "ds.json"
     save_dataset(generate_synthetic(small_config(feature_dim=16, instances_min=40,
                                                  instances_max=60)), path)
@@ -161,6 +161,25 @@ def test_loading_peaks_below_twice_the_file_plus_the_arrays(tmp_path):
         tracemalloc.stop()
     arrays = sum(b.instances.nbytes + b.instance_labels.nbytes for b in ds.bags)
     assert peak < 2 * path.stat().st_size + arrays
+
+
+def test_loading_a_large_file_peaks_below_its_size(tmp_path):
+    # the file is read a chunk at a time: neither its bytes nor its text are
+    # held whole, so only the arrays (about 8 of every 20 bytes) accumulate
+    rng = np.random.default_rng(0)
+    bags = [Bag(id=f"b{i}", instances=rng.normal(size=(150, 32)), label=i % 2,
+                instance_labels=np.zeros(150, dtype=np.int64)) for i in range(100)]
+    path = tmp_path / "large.json"
+    save_dataset(Dataset(feature_dim=32, num_classes=2, bags=bags), path)
+    assert path.stat().st_size > 8_000_000
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(a.instances.tobytes() == b.instances.tobytes() for a, b in zip(ds.bags, bags))
+    assert peak < path.stat().st_size
 
 
 def test_load_rejects_wrong_row_length(tmp_path):
@@ -190,6 +209,25 @@ def test_load_reports_line_and_column_for_malformed_json(tmp_path):
     path.write_text('{"format": "acmil-dataset",\n  "oops"\n}')
     with pytest.raises(DataFormatError, match="line"):
         load_dataset(path)
+    # past the first chunk of an indented file: where json.loads places it
+    rows = np.arange(64 * 8, dtype=np.float64).reshape(64, 8) / 7
+    doc = {"format": "acmil-dataset", "format_version": 1, "feature_dim": 8,
+           "num_classes": 2, "bags": [{"id": f"b{i}", "label": 0, "instances": rows.tolist()}
+                                      for i in range(400)]}
+    whole = json.dumps(doc, indent=2)
+    assert len(whole) > 3 * jsonio._CHUNK
+    inside = whole.rindex(",", 0, whole.rindex("]"))  # found by the standard library's scanner
+    between = whole.rindex(",", 0, whole.rindex('{\n      "id"'))  # between values read apart
+    for text in (whole[:inside] + ";" + whole[inside + 1:], whole[:between] + whole[between + 1:]):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        exc = expected.value
+        assert exc.pos > jsonio._CHUNK
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (f"{path}: malformed JSON at line {exc.lineno} "
+                                   f"column {exc.colno}: {exc.msg}")
 
 
 def test_empty_dataset_is_valid(tmp_path):

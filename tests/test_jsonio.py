@@ -1,8 +1,9 @@
-"""The JSON writer: shortest round-trip floats, numpy conversion, atomic writes,
-and truncated dataset and checkpoint files."""
+"""The JSON writer: shortest round-trip floats, numpy conversion, atomic writes;
+the chunked reader against ``json.loads``; truncated dataset and checkpoint files."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -95,6 +96,140 @@ def test_an_overlong_integer_or_deep_nesting_is_a_data_format_error(tmp_path, te
     path = tmp_path / "doc.json"
     path.write_text(text)
     with pytest.raises(DataFormatError, match=f"{path}: malformed JSON"):
+        jsonio.load(path)
+
+
+# ------------------------------------------------------------ the chunked reader
+
+JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1, 1e16]))
+STRINGS = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t", "\u00e9\u20ac", "\U0001f600", "\x00\x1f", "a\u2028b"])
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | JSON_FLOATS | STRINGS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(STRINGS, inner, max_size=6),
+    max_leaves=40)
+CHUNKS = [1, 7, 64]
+
+
+def same(a, b) -> bool:
+    """Equal values of the same types, keys in the same order, floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def json_outcome(text: str, object_hook=None):
+    """What ``jsonio.load`` must give for a file of ``text``: the value, or the error
+    line without the file name."""
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
+        return f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+
+
+def load_outcome(path, chunk: int, object_hook=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "_CHUNK", chunk)
+        try:
+            return jsonio.load(path, object_hook=object_hook)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return str(exc)[len(f"{path}: "):]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("chunked") / "doc.json"
+
+
+def hooked(obj):
+    return ["hooked", obj]
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=DOCUMENTS, indent=st.sampled_from([1, 2, "\t"]), ascii_only=st.booleans(),
+       hook=st.sampled_from([None, hooked]))
+def test_the_chunked_reader_equals_json_loads(scratch, doc, indent, ascii_only, hook):
+    for text in (json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii_only),
+                 json.dumps(doc, indent=indent, ensure_ascii=ascii_only)):
+        scratch.write_text(text, encoding="utf-8")
+        expected = json.loads(text, object_hook=hook)
+        for chunk in [*CHUNKS, jsonio._CHUNK]:
+            assert same(load_outcome(scratch, chunk, hook), expected), chunk
+
+
+@st.composite
+def damaged_texts(draw):
+    """A document's text cut short, or with one character removed or put in."""
+    text = json.dumps(draw(DOCUMENTS), indent=draw(st.sampled_from([None, 1])))
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["cut", "remove", "insert"]))
+    if how == "cut":
+        return text[:at]
+    if how == "remove":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from(list(',:[]{}"\\ \n-.e0tx'))) + text[at:]
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=damaged_texts())
+def test_a_damaged_file_fails_where_json_loads_fails(scratch, text):
+    scratch.write_text(text, encoding="utf-8")
+    expected = json_outcome(text)
+    for chunk in [*CHUNKS, jsonio._CHUNK]:
+        assert same(load_outcome(scratch, chunk), expected), chunk
+
+
+@pytest.mark.parametrize("text", [
+    "", " \n ", "0", "-0.0", "12345678901234567890", "1.5e-300", "5e-324", "1e308", "true",
+    "null", '"\\u00e9\u20ac"', "[]", "[1, [2, {}], {\"a\": [3.25]}]", "{}",
+    "[1] 2", "{} {}", '{"a": 1}x', "1 2", "[1,]", '{"a": 1,}', "\ufeff{}", "1.", "1.5e",
+    "-", "[-Infinity, NaN]", "tru", '{"a" 1}', '{"a": [1, 2}',
+], ids=repr)
+@pytest.mark.parametrize("chunk", [*CHUNKS, 1 << 20])
+def test_top_level_values_and_faults_read_as_json_loads_reads_them(scratch, text, chunk):
+    scratch.write_text(text, encoding="utf-8")
+    assert same(load_outcome(scratch, chunk), json_outcome(text))
+
+
+def test_the_object_hook_sees_objects_innermost_first_and_the_top_level_last(scratch):
+    text = json.dumps({"a": {"b": {"c": {}}}, "d": [{"e": 1}, [{"f": {}}]], "g": {}})
+    scratch.write_text(text)
+    seen, expected = [], []
+    json.loads(text, object_hook=lambda o: expected.append(list(o)) or o)
+    jsonio.load(scratch, object_hook=lambda o: seen.append(list(o)) or o)
+    assert seen == expected and seen[-1] == ["a", "d", "g"]
+
+
+def test_a_value_longer_than_a_chunk_doubles_the_read_size(tmp_path, monkeypatch):
+    # re-reading it one chunk at a time would parse it n / chunk times over
+    monkeypatch.setattr(jsonio, "_CHUNK", 64)
+    reads = []
+    more = jsonio._Window.more
+    monkeypatch.setattr(jsonio._Window, "more", lambda w: reads.append(w.size) or more(w))
+    path = tmp_path / "doc.json"
+    doc = {"rows": [[0.25] * 20_000, [0.5] * 20_000]}
+    path.write_text(json.dumps(doc))
+    assert jsonio.load(path) == doc
+    assert len(reads) < 40 and max(reads) < 2 * path.stat().st_size
+
+
+def test_bad_utf8_past_the_first_chunk_is_placed_by_its_byte_in_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(jsonio, "_CHUNK", 64)
+    path = tmp_path / "doc.json"
+    head = json.dumps({"text": "\u00e9" * 100}, ensure_ascii=False).encode()[:-2]
+    path.write_bytes(head + b"\xff" + b'"}')
+    with pytest.raises(DataFormatError, match=f"byte {len(head)}: invalid start byte"):
+        jsonio.load(path)
+    path.write_bytes(head + b"\xc3")  # a two-byte character cut by the end of the file
+    with pytest.raises(DataFormatError, match=f"byte {len(head)}: unexpected end of data"):
         jsonio.load(path)
 
 

@@ -61,6 +61,8 @@ def test_copy_is_independent():
 def test_first_nonfinite_names_the_tensor():
     p = Params(ModelDims(3, 4, 5, 3, 2))
     assert p.first_nonfinite() is None
+    p.flat[:] = 1e308  # finite values whose sum is Inf: the element check decides
+    assert p.first_nonfinite() is None
     p.head_b[2, 1] = np.nan
     assert p.first_nonfinite() == "branch2.head_b"
 

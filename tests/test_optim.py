@@ -7,7 +7,7 @@ import pytest
 from acmil import jsonio
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
-from acmil.errors import ConfigError
+from acmil.errors import ConfigError, NumericsError
 from acmil.mil import StkimConfig
 from acmil.model import ModelDims, Params, init_model
 from acmil.optim import AdamState, TrainConfig, adam_step, cosine_lr, evaluate, train
@@ -99,6 +99,21 @@ def test_adam_decay_only_step():
     expected = 1.0 - 1e-3 * 0.1 / (0.1 + 1e-8)
     assert np.allclose(model.embed_w, expected, rtol=1e-12)
     assert expected == pytest.approx(0.999, abs=1e-6)
+
+
+def test_adam_refuses_a_non_finite_update_and_only_that():
+    model = make_model()
+    cfg = TrainConfig(weight_decay=0.0)
+    # every update is about -1e308: finite, though their sum is not
+    adam_step(model, Params(model.dims, np.ones_like(model.flat)), AdamState(model), t=1,
+              lr=1e308, cfg=cfg)
+    assert np.all(np.isfinite(model.flat))
+    grads = Params(model.dims, np.ones_like(model.flat))
+    grads.bag_head_b[0] = np.nan
+    before = model.flat.copy()
+    with pytest.raises(NumericsError, match="parameter bag_head_b"):
+        adam_step(model, grads, AdamState(model), t=1, lr=1e-3, cfg=cfg)
+    assert np.array_equal(model.flat, before)
 
 
 def test_adam_moments_stay_finite_and_shaped():
