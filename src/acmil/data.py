@@ -273,7 +273,8 @@ def load_dataset(path) -> Dataset:
     """The dataset in ``path``; every fault is a DataFormatError naming the file.
     ``jsonio.load`` reads the file a chunk at a time and decodes one bag at a
     time, and ``_bag_arrays`` converts each bag as soon as it is decoded, so
-    loading peaks at the arrays plus about three chunks, below the file's size."""
+    loading peaks at the arrays plus about two chunks and one bag's text and
+    lists, below the file's size."""
     doc = jsonio.load(path, object_hook=_bag_arrays)
     try:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:

@@ -3,7 +3,10 @@ the chunked reader against ``json.loads``; truncated dataset and checkpoint file
 
 import json
 import os
+import re
 import struct
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +222,84 @@ def test_a_value_longer_than_a_chunk_doubles_the_read_size(tmp_path, monkeypatch
     path.write_text(json.dumps(doc))
     assert jsonio.load(path) == doc
     assert len(reads) < 40 and max(reads) < 2 * path.stat().st_size
+
+
+def test_every_value_is_decoded_once(tmp_path, monkeypatch):
+    # a value is read on to its end before it is decoded, so a chunk that cuts
+    # it costs a read, not a failed decode and a second one
+    monkeypatch.setattr(jsonio, "_CHUNK", 64)
+    doc = {"bags": [{"id": f"b{i}", "instances": [[i / 7] * 40] * 30} for i in range(3)],
+           "sizes": [123456789] * 40, "name": "x" * 500}
+    text = json.dumps(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    expected = json.loads(text)
+    decoded, failed = [], []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        try:
+            value, end = raw_decode(self, s, idx)
+        except json.JSONDecodeError:
+            failed.append(idx)
+            raise
+        decoded.append(end - idx)
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    assert same(jsonio.load(path), expected)
+    assert not failed and sum(decoded) <= len(text)
+
+
+def test_a_pipe_is_read_a_chunk_at_a_time(monkeypatch):
+    # a pipe has no size to cap a read at: each read still asks for a chunk
+    monkeypatch.setattr(jsonio, "_CHUNK", 64)
+    reads = []
+    more = jsonio._Window.more
+    monkeypatch.setattr(jsonio._Window, "more", lambda w: reads.append(w.size) or more(w))
+    text = json.dumps({"rows": [[i / 7] * 8 for i in range(300)], "name": "\u00e9" * 100},
+                      ensure_ascii=False).encode()
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert same(jsonio.load(f"/dev/fd/{read_fd}"), json.loads(text))
+    finally:
+        os.close(read_fd)  # a writer left blocked on a full pipe fails and ends
+        writer.join()
+    assert len(reads) < 2 * len(text) / 64
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2],\n "b": [3,' + " \n" * 40 + "]}",
+    '[{"a": 1,' + "\t\n" * 40 + "}]",
+    '[1,' + "\n " * 40 + "]",
+], ids=["array", "object", "top-level"])
+@pytest.mark.parametrize("chunk", [*CHUNKS, 1 << 20])
+def test_a_fault_placed_at_the_last_comma_keeps_its_line_and_column(tmp_path, text, chunk):
+    # the message and position of a fault in a streamed level come from the running
+    # interpreter; from Python 3.13 a trailing comma is placed at the comma, which
+    # the whitespace after it, over several chunks, has dropped from the buffer
+    def loads(s):
+        comma = re.search(r",[ \t\n\r]*[\]}]", s)
+        if comma:
+            raise json.JSONDecodeError("Illegal trailing comma", s, comma.start())
+        return json.loads(s)
+
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        loads(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "json", SimpleNamespace(loads=loads, JSONDecoder=json.JSONDecoder,
+                                                   JSONDecodeError=json.JSONDecodeError))
+        assert load_outcome(path, chunk) == (f"malformed JSON at line {expected.value.lineno} "
+                                             f"column {expected.value.colno}: Illegal trailing comma")
 
 
 def test_bad_utf8_past_the_first_chunk_is_placed_by_its_byte_in_the_file(tmp_path, monkeypatch):
