@@ -206,6 +206,8 @@ def _expand_grid(base: TrainConfig, grid: dict) -> list[tuple[str, TrainConfig]]
             raise ConfigError(f"grid: unknown preset {preset!r}")
         cells.append(cell(f"preset-{preset}", {}, MASK_PRESETS[preset]))
 
+    if "K" in grid and "fraction" in grid:
+        raise ConfigError("grid: axes K and fraction both set the masked count; give one")
     axes: list[tuple[str, list]] = []
     for key in ("M", "K", "fraction", "p", "disable_L_d"):
         if key in grid:

@@ -7,8 +7,10 @@ bags carry many discriminative instances (so that concentrating attention
 on a handful is a real failure mode).  Negative (class 0) bags draw only
 from shared background patterns.
 
-Datasets are stored as canonical JSON text whose floats round-trip
-bit-exactly.
+A dataset file (version 2) is JSON Lines: a header line (format, version,
+dims, provenance, warnings and the bag count), then one record per bag per
+line, each canonical compact JSON whose floats round-trip bit-exactly.
+Version-1 files, one JSON document holding the bags, are still read whole.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import ConfigError, DataFormatError, GenerationError
 from .rng import Rng
 
 DATASET_FORMAT = "acmil-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2  # version 1, one JSON document, is still read
 SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -48,6 +50,8 @@ class SyntheticConfig(Config):
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        if self.feature_dim < 1:
+            raise ConfigError("feature_dim must be >= 1")
         if self.patterns_per_class < 1 or self.background_patterns < 1:
             raise ConfigError("patterns_per_class and background_patterns must be >= 1")
         if self.instances_min < 1 or self.instances_max < self.instances_min:
@@ -224,26 +228,30 @@ def split_dataset(ds: Dataset, ratios, seed: int) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Canonical one-line JSON; floats at their shortest round-trip text (bit-exact)."""
-    records = []
-    for b in ds.bags:
-        rec: dict = {"id": b.id, "label": b.label}
-        if b.id in ds.split_of:
-            rec["split"] = ds.split_of[b.id]
-        if b.instance_labels is not None:
-            rec["instance_labels"] = b.instance_labels
-        rec["instances"] = b.instances
-        records.append(rec)
-    doc = {
+    """Version 2: a header line, then one bag record per line, each canonical compact
+    JSON with floats at their shortest round-trip text (bit-exact)."""
+    header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_VERSION,
         "feature_dim": ds.feature_dim,
         "num_classes": ds.num_classes,
         "provenance": ds.provenance,
         "warnings": ds.warnings,
-        "bags": records,
+        "bags": len(ds.bags),
     }
-    jsonio.dump(doc, path)
+
+    def lines():
+        yield jsonio.dumps(header)
+        for b in ds.bags:
+            rec: dict = {"id": b.id, "label": b.label}
+            if b.id in ds.split_of:
+                rec["split"] = ds.split_of[b.id]
+            if b.instance_labels is not None:
+                rec["instance_labels"] = b.instance_labels
+            rec["instances"] = b.instances
+            yield jsonio.dumps(rec)
+
+    jsonio.write_text(path, lines())
 
 
 def _bag_arrays(obj: dict) -> dict:
@@ -269,23 +277,48 @@ def _rows_fault(bag_id: str, rows, feature_dim: int) -> str:
     return f"bag {bag_id!r} instances must be a non-empty list of rows of numbers"
 
 
+def _read(path) -> tuple[object, list | None]:
+    """The header and bag records of a version-2 file, whose first line is a header
+    with ``"format_version": 2``; any other file is one document, read whole, and no
+    records.  Each line is decoded alone, so a version-2 load holds one bag's text."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        try:
+            doc = jsonio.loads(head, path, _bag_arrays)
+        except DataFormatError:
+            doc = None
+        if isinstance(doc, dict) and doc.get("format_version") == DATASET_VERSION:
+            records, byte = [], len(head)
+            for number, line in enumerate(fh, 2):
+                records.append(jsonio.loads(line.rstrip(b"\n"), path, _bag_arrays, number, byte))
+                byte += len(line)
+            return doc, records
+        rest = fh.read()
+    if doc is None or rest:  # not a one-line document: decode the file whole
+        doc = jsonio.loads(head + rest, path, _bag_arrays)
+    return doc, None
+
+
 def load_dataset(path) -> Dataset:
     """The dataset in ``path``; every fault is a DataFormatError naming the file.
-    ``jsonio.load`` reads the file a chunk at a time and decodes one bag at a
-    time, and ``_bag_arrays`` converts each bag as soon as it is decoded, so
-    loading peaks at the arrays plus about two chunks and one bag's text and
-    lists, below the file's size."""
-    doc = jsonio.load(path, object_hook=_bag_arrays)
+    ``_bag_arrays`` converts each bag as soon as it is decoded, so loading a
+    version-2 file peaks at the arrays plus one bag's text and lists."""
+    doc, records = _read(path)
     try:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
             raise DataFormatError("not a dataset file")
-        if doc.get("format_version") != DATASET_VERSION:
-            raise DataFormatError("unsupported dataset version")
+        if records is None:  # one document: version 1
+            if doc.get("format_version") != 1:
+                raise DataFormatError("unsupported dataset version")
+            records = doc["bags"]
+        elif decode(doc["bags"], int, "bags") != len(records):
+            raise DataFormatError(f"the header declares {doc['bags']} bags, "
+                                  f"the file holds {len(records)}")
         feature_dim = decode(doc["feature_dim"], int, "feature_dim")
         num_classes = decode(doc["num_classes"], int, "num_classes")
         bags = []
         split_of = {}
-        for rec in doc["bags"]:
+        for rec in records:
             bag_id = str(rec["id"])
             features = rec["instances"]
             if not isinstance(features, np.ndarray) or features.shape[1] != feature_dim:

@@ -34,7 +34,7 @@ from .metrics import (
     v_measure,
 )
 from .mil import StkimConfig, gate_workspace, mba_forward
-from .model import Model, ModelDims, Params, init_model
+from .model import ACTIVATIONS, Model, ModelDims, Params, init_model
 from .numerics import all_finite
 from .rng import Rng
 
@@ -78,8 +78,11 @@ class TrainConfig(Config):
             raise ConfigError("epochs must be >= 1")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
-        if self.branches < 1:
-            raise ConfigError("branches must be >= 1")
+        for name in ("branches", "embed_dim", "attn_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if self.selection_metric not in SELECTION_METRICS:
             raise ConfigError(f"selection_metric must be one of {SELECTION_METRICS}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

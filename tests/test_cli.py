@@ -52,6 +52,15 @@ def with_raw(doc, text: str) -> str:
     return json.dumps(doc).replace('"@"', text)
 
 
+def dataset_text(doc, layout: int, raw: str) -> str:
+    """``doc`` as a dataset file of format version ``layout`` (1: one document,
+    2: a header line and one bag per line), ``"@"`` replaced as by ``with_raw``."""
+    if layout == 1:
+        return with_raw(doc, raw)
+    header = {**doc, "format_version": 2, "bags": len(doc["bags"])}
+    return "".join(with_raw(part, raw) + "\n" for part in [header, *doc["bags"]])
+
+
 @pytest.fixture()
 def tiny_data(tmp_path):
     cfg = write_json(tmp_path / "gen.json", {"synthetic": TINY_SYNTH,
@@ -318,6 +327,18 @@ ERROR_CASES = {
                      "error:data-format:", "bag 'b0' instances must be"),
     "dims-1e400": ("eval", None, None, GOOD_DATASET, with_raw(RAW_DIM, "1e400"),
                    "error:data-format:", "dims.feature_dim: expected an integer, got a number"),
+    "gen-data-feature-dim-negative": ("gen-data", {"synthetic": {"feature_dim": -1}}, None, None,
+                                      None, "error:config:", "synthetic.feature_dim must be >= 1"),
+    "gen-data-feature-dim-zero": ("gen-data", {"synthetic": {"feature_dim": 0}}, None, None,
+                                  None, "error:config:", "synthetic.feature_dim must be >= 1"),
+    "grid-K-and-fraction": ("ablate", None, {"K": [5, 10], "fraction": [0.1]}, None, None,
+                            "error:config:", "grid: axes K and fraction"),
+    "ablate-embed-dim-zero": ("ablate", {"train": {"embed_dim": 0}}, {"M": [1]}, None, None,
+                              "error:config:", "train.embed_dim must be >= 1"),
+    "attn-dim-zero": ("train", {"train": {"attn_dim": 0}}, None, None, None,
+                      "error:config:", "train.attn_dim must be >= 1"),
+    "unknown-activation": ("train", {"train": {"activation": "tanh"}}, None, None, None,
+                           "error:config:", "train.activation must be one of"),
 }
 
 
@@ -425,7 +446,8 @@ NOT_AN_INT = st.sampled_from(["1.5", "true", "1e400"])
 
 @st.composite
 def malformed_files(draw):
-    """(command, dataset text, checkpoint text) with one fault in one of the files."""
+    """(command, dataset text, checkpoint text) with one fault in one of the files;
+    the dataset is in either layout."""
     command = draw(st.sampled_from(["train", "eval", "ablate"]))
     dataset = json.loads(json.dumps(VALID_DATASET))
     checkpoint = FIXTURE.read_text()
@@ -467,7 +489,7 @@ def malformed_files(draw):
         values[draw(st.integers(0, len(values) - 1))] = draw(
             st.booleans() if fault == "checkpoint-boolean" else st.sampled_from(["1.5", "0"]))
         checkpoint = json.dumps(doc)
-    text = with_raw(dataset, draw(NOT_AN_INT))
+    text = dataset_text(dataset, draw(st.sampled_from([1, 2]), label="layout"), draw(NOT_AN_INT))
     if fault == "cut":
         text = text[:draw(st.integers(0, text.rindex("}")))]
     elif fault == "checkpoint-cut":

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acmil import jsonio
 from acmil.bags import Bag
 from acmil.data import (
     Dataset,
@@ -164,8 +168,8 @@ def test_loading_peaks_below_twice_the_file_plus_the_arrays(tmp_path):
 
 
 def test_loading_a_large_file_peaks_below_its_size(tmp_path):
-    # the file is read a chunk at a time: neither its bytes nor its text are
-    # held whole, so only the arrays (about 8 of every 20 bytes) accumulate
+    # the file is read a line, one bag, at a time: neither its bytes nor its text
+    # are held whole, so only the arrays (about 8 of every 20 bytes) accumulate
     rng = np.random.default_rng(0)
     bags = [Bag(id=f"b{i}", instances=rng.normal(size=(150, 32)), label=i % 2,
                 instance_labels=np.zeros(150, dtype=np.int64)) for i in range(100)]
@@ -209,25 +213,143 @@ def test_load_reports_line_and_column_for_malformed_json(tmp_path):
     path.write_text('{"format": "acmil-dataset",\n  "oops"\n}')
     with pytest.raises(DataFormatError, match="line"):
         load_dataset(path)
-    # past the first chunk of an indented file: where json.loads places it
+    # deep in an indented version-1 file: where json.loads places it
     rows = np.arange(64 * 8, dtype=np.float64).reshape(64, 8) / 7
     doc = {"format": "acmil-dataset", "format_version": 1, "feature_dim": 8,
            "num_classes": 2, "bags": [{"id": f"b{i}", "label": 0, "instances": rows.tolist()}
                                       for i in range(400)]}
     whole = json.dumps(doc, indent=2)
-    assert len(whole) > 3 * jsonio._CHUNK
-    inside = whole.rindex(",", 0, whole.rindex("]"))  # found by the standard library's scanner
-    between = whole.rindex(",", 0, whole.rindex('{\n      "id"'))  # between values read apart
+    assert len(whole) > 3 * (1 << 20)
+    inside = whole.rindex(",", 0, whole.rindex("]"))  # in the last bag's last row
+    between = whole.rindex(",", 0, whole.rindex('{\n      "id"'))  # between two bags
     for text in (whole[:inside] + ";" + whole[inside + 1:], whole[:between] + whole[between + 1:]):
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(text)
         exc = expected.value
-        assert exc.pos > jsonio._CHUNK
+        assert exc.pos > 1 << 20
         path.write_text(text)
         with pytest.raises(DataFormatError) as info:
             load_dataset(path)
         assert str(info.value) == (f"{path}: malformed JSON at line {exc.lineno} "
                                    f"column {exc.colno}: {exc.msg}")
+
+
+DATASET_V1 = Path(__file__).parent / "fixtures" / "dataset_v1.json"
+
+
+def small_v2_lines(tmp_path) -> list[bytes]:
+    ds = split_dataset(generate_synthetic(small_config(bags_per_class=3)), (0.6, 0.2, 0.2), 1)
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def test_a_dataset_is_a_header_line_and_one_bag_per_line(tmp_path):
+    lines = small_v2_lines(tmp_path)
+    header = json.loads(lines[0])
+    assert list(header) == ["format", "format_version", "feature_dim", "num_classes",
+                            "provenance", "warnings", "bags"]
+    assert header["format_version"] == 2 and header["bags"] == len(lines) - 1 == 6
+    assert [list(json.loads(line)) for line in lines[1:]] == [
+        ["id", "label", "split", "instance_labels", "instances"]] * 6
+    proc = subprocess.run([sys.executable, "-m", "json.tool", "--json-lines",
+                           str(tmp_path / "ds.json")], capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.count(b'"format_version": 2') == 1
+
+
+def check_v1_fixture(ds):
+    """``ds`` holds what ``json.loads`` reads from the version-1 fixture, bit for bit."""
+    doc = json.loads(DATASET_V1.read_text())
+    assert (ds.feature_dim, ds.num_classes) == (doc["feature_dim"], doc["num_classes"])
+    assert ds.provenance == doc["provenance"] and ds.warnings == doc["warnings"] != []
+    assert ds.split_of == {rec["id"]: rec["split"] for rec in doc["bags"]}
+    assert {"instance_labels" in rec for rec in doc["bags"]} == {True, False}
+    for bag, rec in zip(ds.bags, doc["bags"], strict=True):
+        assert (bag.id, bag.label) == (rec["id"], rec["label"])
+        assert bag.instances.dtype == np.float64
+        assert bag.instances.tobytes() == np.array(rec["instances"], np.float64).tobytes()
+        if "instance_labels" in rec:
+            labels = np.array(rec["instance_labels"], np.int64)
+            assert bag.instance_labels.dtype == np.int64
+            assert bag.instance_labels.tobytes() == labels.tobytes()
+        else:
+            assert bag.instance_labels is None
+
+
+def test_a_version_1_file_loads_bit_equal_and_resaves_as_version_2(tmp_path):
+    assert json.loads(DATASET_V1.read_text())["format_version"] == 1
+    ds = load_dataset(DATASET_V1)
+    check_v1_fixture(ds)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_dataset(ds, p1)
+    assert json.loads(p1.read_bytes().splitlines()[0])["format_version"] == 2
+    check_v1_fixture(load_dataset(p1))
+    save_dataset(load_dataset(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("k, fault", [(1, "semicolon"), (2, "semicolon"), (7, "semicolon"),
+                                      (2, "cut"), (4, "cut"), (7, "cut")])
+def test_a_fault_on_line_k_is_placed_on_line_k(tmp_path, k, fault):
+    lines = small_v2_lines(tmp_path)
+    line = lines[k - 1].rstrip(b"\n")
+    bad = line[:len(line) // 2] if fault == "cut" else line.replace(b",", b";", 1)
+    lines[k - 1] = bad + b"\n"
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad)
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    exc = expected.value
+    assert str(info.value) == (f"{path}: malformed JSON at line {k} column {exc.colno}: "
+                               f"{exc.msg}")
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_bad_utf8_on_line_k_is_placed_by_its_byte_in_the_file(tmp_path, k):
+    lines = small_v2_lines(tmp_path)
+    at = len(lines[k - 1]) // 2
+    lines[k - 1] = lines[k - 1][:at] + b"\xff" + lines[k - 1][at:]
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"".join(lines))
+    byte = sum(map(len, lines[:k - 1])) + at
+    with pytest.raises(DataFormatError, match=f"byte {byte}: invalid start byte"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("change", ["drop-last", "drop-all", "repeat-last"])
+def test_bag_lines_that_do_not_match_the_header_count_are_a_data_format_error(tmp_path, change):
+    lines = small_v2_lines(tmp_path)
+    lines = {"drop-last": lines[:-1], "drop-all": lines[:1],
+             "repeat-last": lines + lines[-1:]}[change]
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DataFormatError, match=f"{path}: the header declares 6 bags, "
+                                              f"the file holds {len(lines) - 1}"):
+        load_dataset(path)
+
+
+def test_a_dataset_read_from_a_pipe_loads(tmp_path):
+    text = b"".join(small_v2_lines(tmp_path))
+    expected = load_dataset(tmp_path / "ds.json")
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        ds = load_dataset(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)  # a writer left blocked on a full pipe fails and ends
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert ds.split_of == expected.split_of and ds.provenance == expected.provenance
+    for a, b in zip(ds.bags, expected.bags, strict=True):
+        assert a.id == b.id and a.instances.tobytes() == b.instances.tobytes()
 
 
 def test_empty_dataset_is_valid(tmp_path):

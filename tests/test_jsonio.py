@@ -1,11 +1,11 @@
 """The JSON writer: shortest round-trip floats, numpy conversion, atomic writes;
-the chunked reader against ``json.loads``; truncated dataset and checkpoint files."""
+the reader against ``json.loads``; truncated dataset and checkpoint files."""
 
 import json
 import os
 import re
 import struct
-import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +20,7 @@ from acmil.errors import DataFormatError
 from acmil.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 from acmil.rng import Rng
 
+DATASET_V1 = Path(__file__).parent / "fixtures" / "dataset_v1.json"
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e16, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(SPECIAL_FLOATS))
@@ -102,7 +103,7 @@ def test_an_overlong_integer_or_deep_nesting_is_a_data_format_error(tmp_path, te
         jsonio.load(path)
 
 
-# ------------------------------------------------------------ the chunked reader
+# ------------------------------------------------------------ the reader
 
 JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 0.1, 1e16]))
@@ -112,7 +113,9 @@ DOCUMENTS = st.recursive(
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | JSON_FLOATS | STRINGS,
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(STRINGS, inner, max_size=6),
     max_leaves=40)
-CHUNKS = [1, 7, 64]
+# the line a text starts on: 1 is a whole file, read by ``load``; a later one is
+# decoded alone by ``loads``, as the dataset reader decodes each bag line
+LINES = [1, 7, 64, 1 << 20]
 
 
 def same(a, b) -> bool:
@@ -128,28 +131,29 @@ def same(a, b) -> bool:
     return a == b
 
 
-def json_outcome(text: str, object_hook=None):
-    """What ``jsonio.load`` must give for a file of ``text``: the value, or the error
-    line without the file name."""
+def json_outcome(text: str, object_hook=None, line: int = 1):
+    """What the reader must give for ``text`` starting on line ``line`` of a file:
+    the value, or the error line without the file name."""
     try:
         return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
-        return f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        return (f"malformed JSON at line {line + exc.lineno - 1} column {exc.colno}: "
+                f"{exc.msg}")
 
 
-def load_outcome(path, chunk: int, object_hook=None):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jsonio, "_CHUNK", chunk)
-        try:
+def load_outcome(path, line: int = 1, object_hook=None):
+    try:
+        if line == 1:
             return jsonio.load(path, object_hook=object_hook)
-        except DataFormatError as exc:
-            assert str(exc).startswith(f"{path}: ")
-            return str(exc)[len(f"{path}: "):]
+        return jsonio.loads(path.read_bytes(), path, object_hook, line=line)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return str(exc)[len(f"{path}: "):]
 
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("chunked") / "doc.json"
+    return tmp_path_factory.mktemp("reader") / "doc.json"
 
 
 def hooked(obj):
@@ -159,13 +163,13 @@ def hooked(obj):
 @settings(deadline=None, max_examples=150)
 @given(doc=DOCUMENTS, indent=st.sampled_from([1, 2, "\t"]), ascii_only=st.booleans(),
        hook=st.sampled_from([None, hooked]))
-def test_the_chunked_reader_equals_json_loads(scratch, doc, indent, ascii_only, hook):
+def test_the_reader_equals_json_loads(scratch, doc, indent, ascii_only, hook):
     for text in (json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii_only),
                  json.dumps(doc, indent=indent, ensure_ascii=ascii_only)):
         scratch.write_text(text, encoding="utf-8")
         expected = json.loads(text, object_hook=hook)
-        for chunk in [*CHUNKS, jsonio._CHUNK]:
-            assert same(load_outcome(scratch, chunk, hook), expected), chunk
+        for line in LINES:
+            assert same(load_outcome(scratch, line, hook), expected), line
 
 
 @st.composite
@@ -185,9 +189,8 @@ def damaged_texts(draw):
 @given(text=damaged_texts())
 def test_a_damaged_file_fails_where_json_loads_fails(scratch, text):
     scratch.write_text(text, encoding="utf-8")
-    expected = json_outcome(text)
-    for chunk in [*CHUNKS, jsonio._CHUNK]:
-        assert same(load_outcome(scratch, chunk), expected), chunk
+    for line in LINES:
+        assert same(load_outcome(scratch, line), json_outcome(text, line=line)), line
 
 
 @pytest.mark.parametrize("text", [
@@ -196,10 +199,10 @@ def test_a_damaged_file_fails_where_json_loads_fails(scratch, text):
     "[1] 2", "{} {}", '{"a": 1}x', "1 2", "[1,]", '{"a": 1,}', "\ufeff{}", "1.", "1.5e",
     "-", "[-Infinity, NaN]", "tru", '{"a" 1}', '{"a": [1, 2}',
 ], ids=repr)
-@pytest.mark.parametrize("chunk", [*CHUNKS, 1 << 20])
-def test_top_level_values_and_faults_read_as_json_loads_reads_them(scratch, text, chunk):
+@pytest.mark.parametrize("line", LINES)
+def test_top_level_values_and_faults_read_as_json_loads_reads_them(scratch, text, line):
     scratch.write_text(text, encoding="utf-8")
-    assert same(load_outcome(scratch, chunk), json_outcome(text))
+    assert same(load_outcome(scratch, line), json_outcome(text, line=line))
 
 
 def test_the_object_hook_sees_objects_innermost_first_and_the_top_level_last(scratch):
@@ -211,104 +214,41 @@ def test_the_object_hook_sees_objects_innermost_first_and_the_top_level_last(scr
     assert seen == expected and seen[-1] == ["a", "d", "g"]
 
 
-def test_a_value_longer_than_a_chunk_doubles_the_read_size(tmp_path, monkeypatch):
-    # re-reading it one chunk at a time would parse it n / chunk times over
-    monkeypatch.setattr(jsonio, "_CHUNK", 64)
-    reads = []
-    more = jsonio._Window.more
-    monkeypatch.setattr(jsonio._Window, "more", lambda w: reads.append(w.size) or more(w))
-    path = tmp_path / "doc.json"
-    doc = {"rows": [[0.25] * 20_000, [0.5] * 20_000]}
-    path.write_text(json.dumps(doc))
-    assert jsonio.load(path) == doc
-    assert len(reads) < 40 and max(reads) < 2 * path.stat().st_size
-
-
-def test_every_value_is_decoded_once(tmp_path, monkeypatch):
-    # a value is read on to its end before it is decoded, so a chunk that cuts
-    # it costs a read, not a failed decode and a second one
-    monkeypatch.setattr(jsonio, "_CHUNK", 64)
-    doc = {"bags": [{"id": f"b{i}", "instances": [[i / 7] * 40] * 30} for i in range(3)],
-           "sizes": [123456789] * 40, "name": "x" * 500}
-    text = json.dumps(doc)
-    path = tmp_path / "doc.json"
-    path.write_text(text)
-    expected = json.loads(text)
-    decoded, failed = [], []
-    raw_decode = json.JSONDecoder.raw_decode
-
-    def counting(self, s, idx=0):
-        try:
-            value, end = raw_decode(self, s, idx)
-        except json.JSONDecodeError:
-            failed.append(idx)
-            raise
-        decoded.append(end - idx)
-        return value, end
-
-    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
-    assert same(jsonio.load(path), expected)
-    assert not failed and sum(decoded) <= len(text)
-
-
-def test_a_pipe_is_read_a_chunk_at_a_time(monkeypatch):
-    # a pipe has no size to cap a read at: each read still asks for a chunk
-    monkeypatch.setattr(jsonio, "_CHUNK", 64)
-    reads = []
-    more = jsonio._Window.more
-    monkeypatch.setattr(jsonio._Window, "more", lambda w: reads.append(w.size) or more(w))
-    text = json.dumps({"rows": [[i / 7] * 8 for i in range(300)], "name": "\u00e9" * 100},
-                      ensure_ascii=False).encode()
-    read_fd, write_fd = os.pipe()
-
-    def write():
-        with open(write_fd, "wb") as fh:
-            fh.write(text)
-
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        assert same(jsonio.load(f"/dev/fd/{read_fd}"), json.loads(text))
-    finally:
-        os.close(read_fd)  # a writer left blocked on a full pipe fails and ends
-        writer.join()
-    assert len(reads) < 2 * len(text) / 64
-
-
 @pytest.mark.parametrize("text", [
     '{"a": [1, 2],\n "b": [3,' + " \n" * 40 + "]}",
     '[{"a": 1,' + "\t\n" * 40 + "}]",
     '[1,' + "\n " * 40 + "]",
 ], ids=["array", "object", "top-level"])
-@pytest.mark.parametrize("chunk", [*CHUNKS, 1 << 20])
-def test_a_fault_placed_at_the_last_comma_keeps_its_line_and_column(tmp_path, text, chunk):
-    # the message and position of a fault in a streamed level come from the running
-    # interpreter; from Python 3.13 a trailing comma is placed at the comma, which
-    # the whitespace after it, over several chunks, has dropped from the buffer
-    def loads(s):
+@pytest.mark.parametrize("line", LINES)
+def test_a_fault_placed_at_the_last_comma_keeps_its_line_and_column(tmp_path, text, line):
+    # from Python 3.13 json.loads places a trailing comma at the comma, lines
+    # before the bracket that ends the text; the reader keeps that place
+    def loads(s, object_hook=None):
         comma = re.search(r",[ \t\n\r]*[\]}]", s)
         if comma:
             raise json.JSONDecodeError("Illegal trailing comma", s, comma.start())
-        return json.loads(s)
+        return json.loads(s, object_hook=object_hook)
 
     path = tmp_path / "doc.json"
     path.write_text(text)
     with pytest.raises(json.JSONDecodeError) as expected:
         loads(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jsonio, "json", SimpleNamespace(loads=loads, JSONDecoder=json.JSONDecoder,
+        mp.setattr(jsonio, "json", SimpleNamespace(loads=loads,
                                                    JSONDecodeError=json.JSONDecodeError))
-        assert load_outcome(path, chunk) == (f"malformed JSON at line {expected.value.lineno} "
-                                             f"column {expected.value.colno}: Illegal trailing comma")
+        assert load_outcome(path, line) == (
+            f"malformed JSON at line {line + expected.value.lineno - 1} "
+            f"column {expected.value.colno}: Illegal trailing comma")
 
 
-def test_bad_utf8_past_the_first_chunk_is_placed_by_its_byte_in_the_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(jsonio, "_CHUNK", 64)
+def test_bad_utf8_is_placed_by_its_byte_in_the_file(tmp_path):
     path = tmp_path / "doc.json"
     head = json.dumps({"text": "\u00e9" * 100}, ensure_ascii=False).encode()[:-2]
     path.write_bytes(head + b"\xff" + b'"}')
     with pytest.raises(DataFormatError, match=f"byte {len(head)}: invalid start byte"):
         jsonio.load(path)
+    with pytest.raises(DataFormatError, match=f"byte {len(head) + 1000}: invalid start byte"):
+        jsonio.loads(path.read_bytes(), path, byte=1000)
     path.write_bytes(head + b"\xc3")  # a two-byte character cut by the end of the file
     with pytest.raises(DataFormatError, match=f"byte {len(head)}: unexpected end of data"):
         jsonio.load(path)
@@ -327,14 +267,17 @@ def small_files(tmp_path_factory):
     checkpoint = directory / "checkpoint.json"
     model = init_model(ModelDims(4, 5, 3, 2, 2), Rng.stream(0, 0), seed=0)
     save_checkpoint(model, checkpoint, config={"epochs": 1})
-    return {load_dataset: dataset.read_bytes(), load_checkpoint: checkpoint.read_bytes()}
+    return {"dataset": (load_dataset, dataset.read_bytes()),
+            "dataset_v1": (load_dataset, DATASET_V1.read_bytes()),
+            "checkpoint": (load_checkpoint, checkpoint.read_bytes())}
 
 
 @settings(deadline=None, max_examples=300)
-@given(loader=st.sampled_from([load_dataset, load_checkpoint]), data=st.data())
+@given(kind=st.sampled_from(["dataset", "dataset_v1", "checkpoint"]), data=st.data())
 def test_a_file_cut_before_its_closing_brace_is_a_data_format_error(
-        small_files, tmp_path_factory, loader, data):
-    whole = small_files[loader]
+        small_files, tmp_path_factory, kind, data):
+    # a version-2 dataset cut at a line boundary falls short of its bag count
+    loader, whole = small_files[kind]
     offset = data.draw(st.integers(0, whole.rindex(b"}")), label="offset")
     path = tmp_path_factory.getbasetemp() / "cut.json"
     path.write_bytes(whole[:offset])
