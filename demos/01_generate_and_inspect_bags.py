@@ -53,4 +53,5 @@ for a, b in zip(back.bags, ds.bags, strict=True):
     assert (a.id, a.label) == (b.id, b.label)
     assert a.instances.tobytes() == b.instances.tobytes()
     assert a.instance_labels.tobytes() == b.instance_labels.tobytes()
-print(f"\nsaved and reloaded {size / 1e6:.1f} MB of JSON text: every bag is bit-exact")
+print(f"\nsaved and reloaded a {size / 1e6:.1f} MB dataset file (JSON Lines, features "
+      "packed as float64): every bag is bit-exact")

@@ -7,10 +7,12 @@ bags carry many discriminative instances (so that concentrating attention
 on a handful is a real failure mode).  Negative (class 0) bags draw only
 from shared background patterns.
 
-A dataset file (version 2) is JSON Lines: a header line (format, version,
+A dataset file (version 3) is JSON Lines: a header line (format, version,
 dims, provenance, warnings and the bag count), then one record per bag per
-line, each canonical compact JSON whose floats round-trip bit-exactly.
-Version-1 files, one JSON document holding the bags, are still read whole.
+line, each canonical compact JSON.  A record's instances are one
+``jsonio.pack`` string, which round-trips bit-exactly.  Version-2 files,
+whose instances are nested lists of numbers, are read by the same line
+reader; version-1 files, one JSON document holding the bags, are read whole.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import ConfigError, DataFormatError, GenerationError
 from .rng import Rng
 
 DATASET_FORMAT = "acmil-dataset"
-DATASET_VERSION = 2  # version 1, one JSON document, is still read
+DATASET_VERSION = 3  # version 2 (lists of numbers) and version 1 (one document) are read
 SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -228,8 +230,8 @@ def split_dataset(ds: Dataset, ratios, seed: int) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Version 2: a header line, then one bag record per line, each canonical compact
-    JSON with floats at their shortest round-trip text (bit-exact)."""
+    """Version 3: a header line, then one bag record per line, each canonical compact
+    JSON with the instances packed (bit-exact)."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_VERSION,
@@ -248,18 +250,19 @@ def save_dataset(ds: Dataset, path) -> None:
                 rec["split"] = ds.split_of[b.id]
             if b.instance_labels is not None:
                 rec["instance_labels"] = b.instance_labels
-            rec["instances"] = b.instances
+            rec["instances"] = jsonio.pack(b.instances)
             yield jsonio.dumps(rec)
 
     jsonio.write_text(path, lines())
 
 
 def _bag_arrays(obj: dict) -> dict:
-    """JSON object hook: a bag record's lists become arrays as soon as the decoder
-    closes it, so one bag at most is held as lists; ``load_dataset`` reports the rest."""
+    """JSON object hook: a bag record's instances become an array as soon as the decoder
+    closes it, so one bag at most is held as text or lists; ``load_dataset`` reports the
+    rest.  Packed instances become a flat array, which ``load_dataset`` shapes."""
     if "instances" in obj:
-        rows = jsonio.float_array(obj["instances"])
-        if rows is not None and rows.ndim == 2:
+        rows = jsonio.float_array(obj["instances"], f"bag {obj.get('id')!r} instances")
+        if rows is not None and (rows.ndim == 2 or isinstance(obj["instances"], str)):
             obj["instances"] = rows
         labels = obj.get("instance_labels")
         if type(labels) is list and all(type(v) is int and abs(v) < 2**63 for v in labels):
@@ -278,16 +281,16 @@ def _rows_fault(bag_id: str, rows, feature_dim: int) -> str:
 
 
 def _read(path) -> tuple[object, list | None]:
-    """The header and bag records of a version-2 file, whose first line is a header
-    with ``"format_version": 2``; any other file is one document, read whole, and no
-    records.  Each line is decoded alone, so a version-2 load holds one bag's text."""
+    """The header and bag records of a file whose first line is a header with
+    ``"format_version"`` 2 or 3; any other file is one document, read whole, and no
+    records.  Each line is decoded alone, so such a load holds one bag's text."""
     with open(path, "rb") as fh:
         head = fh.readline()
         try:
             doc = jsonio.loads(head, path, _bag_arrays)
         except DataFormatError:
             doc = None
-        if isinstance(doc, dict) and doc.get("format_version") == DATASET_VERSION:
+        if isinstance(doc, dict) and doc.get("format_version") in (2, DATASET_VERSION):
             records, byte = [], len(head)
             for number, line in enumerate(fh, 2):
                 records.append(jsonio.loads(line.rstrip(b"\n"), path, _bag_arrays, number, byte))
@@ -302,7 +305,7 @@ def _read(path) -> tuple[object, list | None]:
 def load_dataset(path) -> Dataset:
     """The dataset in ``path``; every fault is a DataFormatError naming the file.
     ``_bag_arrays`` converts each bag as soon as it is decoded, so loading a
-    version-2 file peaks at the arrays plus one bag's text and lists."""
+    version-2 or 3 file peaks at the arrays plus one bag's text (and lists)."""
     doc, records = _read(path)
     try:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
@@ -315,12 +318,19 @@ def load_dataset(path) -> Dataset:
             raise DataFormatError(f"the header declares {doc['bags']} bags, "
                                   f"the file holds {len(records)}")
         feature_dim = decode(doc["feature_dim"], int, "feature_dim")
+        if feature_dim < 1:
+            raise DataFormatError(f"feature_dim must be >= 1, got {feature_dim}")
         num_classes = decode(doc["num_classes"], int, "num_classes")
         bags = []
         split_of = {}
         for rec in records:
             bag_id = str(rec["id"])
             features = rec["instances"]
+            if isinstance(features, np.ndarray) and features.ndim == 1:  # packed
+                if features.size % feature_dim:
+                    raise DataFormatError(f"bag {bag_id!r} holds {features.size} packed "
+                                          f"values, not rows of feature_dim={feature_dim}")
+                features = features.reshape(-1, feature_dim)
             if not isinstance(features, np.ndarray) or features.shape[1] != feature_dim:
                 raise DataFormatError(_rows_fault(bag_id, features, feature_dim))
             if features.size and not np.all(np.isfinite(features)):

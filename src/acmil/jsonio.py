@@ -8,6 +8,11 @@ byte-identical.  NaN and Inf are refused.  Numpy arrays and scalars are
 written as their ``tolist()``.  Dict key order is kept as built, which keeps
 output bytes deterministic for deterministically built structures.
 
+The large float arrays (dataset features, checkpoint parameters) are written
+with ``pack`` instead: one string, the padded base64 of the values as
+little-endian float64 in C order, which ``float_array`` decodes bit-exactly
+without parsing a float from text.
+
 ``load`` reads a file whole and gives what ``json.loads`` gives for its
 text.  Only dataset files grow large; they are JSON Lines, which
 ``data.load_dataset`` reads a line at a time with ``loads``.
@@ -15,6 +20,7 @@ text.  Only dataset files grow large; they are JSON Lines, which
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -67,9 +73,28 @@ def dump(obj: Any, path) -> None:
     write_text(path, dumps(obj))
 
 
-def float_array(value) -> np.ndarray | None:
-    """``value`` as a float64 array if it is a rectangular list of JSON numbers, else None.
-    ``np.array`` alone would read ``true`` as 1.0 and ``"1.5"`` as 1.5."""
+def pack(a) -> str:
+    """The values of ``a`` as little-endian float64 in C order, in padded base64;
+    NaN and Inf are refused, as ``dumps`` refuses them."""
+    a = np.ascontiguousarray(a, "<f8")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("NaN and Inf cannot be packed")
+    return base64.b64encode(a).decode("ascii")
+
+
+def float_array(value, name: str) -> np.ndarray | None:
+    """``value`` as a float64 array: a ``pack`` string as a flat array, a rectangular
+    list of JSON numbers in its shape, anything else None.  A string that is not packed
+    float64 is a DataFormatError naming ``name``.  ``np.array`` alone would read
+    ``true`` as 1.0 and ``"1.5"`` as 1.5."""
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # a character outside the alphabet, bad padding
+            raise DataFormatError(f"{name}: not packed float64 ({exc})") from exc
+        if len(raw) % 8:
+            raise DataFormatError(f"{name}: {len(raw)} packed bytes, not a multiple of 8")
+        return np.frombuffer(raw, "<f8").astype(np.float64)
     try:
         a = np.array(value)
     except ValueError:  # ragged
@@ -89,9 +114,12 @@ def float_array(value) -> np.ndarray | None:
 def loads(data: bytes, path, object_hook=None, line: int = 1, byte: int = 0) -> Any:
     """``json.loads`` of ``data``: the bytes of ``path`` from byte ``byte`` on, which
     start on line ``line`` of the file.  A DataFormatError names the file, with the line
-    and column of malformed JSON and the byte of text that is not UTF-8."""
+    and column of malformed JSON and the byte of text that is not UTF-8; one raised by
+    ``object_hook`` gets the file name."""
     try:
         return json.loads(data.decode("utf-8"), object_hook=object_hook)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {byte + exc.start}: "
                               f"{exc.reason})") from exc

@@ -24,8 +24,10 @@ initialise uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)), biases zero,
 drawn in that order from the run seed, so a model is a pure function of
 (dims, activation, seed).
 
-Checkpoints are one line of JSON (format v1) with every float at its
-shortest round-trip text; the reload is bit-exact.
+Checkpoints are one line of JSON (format v2): ``params`` maps the v1 names,
+in v1 order, to ``jsonio.pack`` strings, each shaped on load as ``dims``
+implies; the reload is bit-exact.  Format-v1 checkpoints, whose parameters
+are nested lists of numbers, still load.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .rng import Rng
 
 ACTIVATIONS = ("relu", "identity")
 CHECKPOINT_FORMAT = "acmil-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 (lists of numbers) is still read
 
 
 @dataclass
@@ -158,7 +160,7 @@ def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
         "activation": model.activation,
         "seed": model.seed,
         "config": config if config is not None else {},
-        "params": dict(model.parameters()),
+        "params": {name: jsonio.pack(p) for name, p in model.parameters()},
     }
     jsonio.dump(doc, path)
 
@@ -168,7 +170,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         doc = jsonio.load(path)
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        if doc.get("format_version") != CHECKPOINT_VERSION:
+        if doc.get("format_version") not in (1, CHECKPOINT_VERSION):
             raise DataFormatError(f"{path}: unsupported checkpoint version")
         dd = doc["dims"]
         dims = ModelDims(**{f.name: decode(dd[f.name], int, f"dims.{f.name}")
@@ -181,9 +183,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         for name, p in model.parameters():
             if name not in params:
                 raise DataFormatError(f"{path}: missing parameter {name}")
-            a = jsonio.float_array(params[name])
+            a = jsonio.float_array(params[name], f"{path}: parameter {name}")
             if a is None:
-                raise DataFormatError(f"{path}: parameter {name} must be a list of numbers")
+                raise DataFormatError(f"{path}: parameter {name} must be packed float64 "
+                                      "or a list of numbers")
+            if isinstance(params[name], str) and a.size == p.size:  # packed
+                a = a.reshape(p.shape)
             if a.shape != p.shape:
                 raise DataFormatError(
                     f"{path}: parameter {name} has shape {a.shape}, want {p.shape}"

@@ -296,6 +296,10 @@ def evaluate(
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
+    for bag in bags:
+        if bag.label >= model.dims.classes:
+            raise ConfigError(f"bag {bag.id!r} has label {bag.label}, so at least "
+                              f"{bag.label + 1} classes; the model has {model.dims.classes}")
     cfg = stkim if stkim is not None else StkimConfig(count=0, prob=0.0)
     masking_active = stkim_at_eval or (cfg.enabled_at_eval and cfg.prob > 0.0)
     rng = Rng.stream(eval_seed, 3) if masking_active else None

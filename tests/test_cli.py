@@ -1,8 +1,10 @@
+import base64
 import contextlib
 import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -52,13 +54,17 @@ def with_raw(doc, text: str) -> str:
     return json.dumps(doc).replace('"@"', text)
 
 
-def dataset_text(doc, layout: int, raw: str) -> str:
+def dataset_text(doc, layout: int, raw: str = "@") -> str:
     """``doc`` as a dataset file of format version ``layout`` (1: one document,
-    2: a header line and one bag per line), ``"@"`` replaced as by ``with_raw``."""
+    2: a header line and one bag per line, 3: as 2 with each bag's list of instances
+    packed), ``"@"`` replaced as by ``with_raw``."""
     if layout == 1:
         return with_raw(doc, raw)
-    header = {**doc, "format_version": 2, "bags": len(doc["bags"])}
-    return "".join(with_raw(part, raw) + "\n" for part in [header, *doc["bags"]])
+    bags = [dict(bag, instances=jsonio.pack(bag["instances"]))
+            if layout == 3 and isinstance(bag, dict) and isinstance(bag["instances"], list)
+            else bag for bag in doc["bags"]]
+    header = {**doc, "format_version": layout, "bags": len(bags)}
+    return "".join(with_raw(part, raw) + "\n" for part in [header, *bags])
 
 
 @pytest.fixture()
@@ -270,6 +276,26 @@ STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
 RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
 BOOL_FEATURE = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], instances=[[True, 1.5]])])
 RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
+FOUR_CLASS_MODEL_FIVE_CLASS_DATA = dict(GOOD_DATASET, feature_dim=5, num_classes=5, bags=[
+    {"id": "b0", "label": 4, "split": "test", "instances": [[0.5] * 5]}])
+
+
+def packed_dataset(instances: str) -> str:
+    """GOOD_DATASET as a version-3 file whose one bag's instances are ``instances``."""
+    return dataset_text(dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0],
+                                                      instances=instances)]), 3)
+
+
+def packed_checkpoint(**params: str) -> dict:
+    """The fixture as a version-2 checkpoint, with ``params`` in place of its own."""
+    packed = {name: jsonio.pack(values) for name, values in FIXTURE_DOC["params"].items()}
+    return dict(FIXTURE_DOC, format_version=2, params={**packed, **params})
+
+
+def b64(*values: float) -> str:
+    """``values`` as little-endian float64 in base64, which ``pack`` refuses for NaN."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
 
 # (command, config, grid, dataset, checkpoint, error prefix, text the line names,
 #  *extra flags); a dataset of NO_FLAG leaves out the --data flag
@@ -339,6 +365,32 @@ ERROR_CASES = {
                       "error:config:", "train.attn_dim must be >= 1"),
     "unknown-activation": ("train", {"train": {"activation": "tanh"}}, None, None, None,
                            "error:config:", "train.activation must be one of"),
+    "eval-label-beyond-the-model": ("eval", None, None, FOUR_CLASS_MODEL_FIVE_CLASS_DATA,
+                                    FIXTURE_DOC, "error:config:",
+                                    "bag 'b0' has label 4, so at least 5 classes; the model "
+                                    "has 4", "--split", "all"),
+    "packed-non-alphabet": ("train", None, None, packed_dataset("AAAA*AAAAAA="), None,
+                            "error:data-format:", "bag 'b0' instances: not packed float64"),
+    "packed-bad-padding": ("train", None, None, packed_dataset(b64(0.5, 1.5)[:-1]), None,
+                           "error:data-format:", "bag 'b0' instances: not packed float64"),
+    "packed-12-bytes": ("train", None, None, packed_dataset("A" * 16), None,
+                        "error:data-format:", "bag 'b0' instances: 12 packed bytes, "
+                                              "not a multiple of 8"),
+    "packed-3-values-2-features": ("train", None, None, packed_dataset(b64(0.5, 1.5, 2.5)),
+                                   None, "error:data-format:", "bag 'b0' holds 3 packed values, "
+                                                               "not rows of feature_dim=2"),
+    "packed-nan": ("train", None, None, packed_dataset(b64(0.5, float("nan"))), None,
+                   "error:data-format:", "bag 'b0' contains NaN/Inf features"),
+    "packed-parameter-non-alphabet": ("eval", None, None, GOOD_DATASET,
+                                      packed_checkpoint(embed_b="AAAA-AAAAAA="),
+                                      "error:data-format:", "parameter embed_b: not packed"),
+    "packed-parameter-inf": ("eval", None, None, GOOD_DATASET,
+                             packed_checkpoint(embed_b=b64(0.5, float("inf"), 0.5, 0.5)),
+                             "error:data-format:", "parameter embed_b contains non-finite"),
+    "packed-parameter-wrong-size": ("eval", None, None, GOOD_DATASET,
+                                    packed_checkpoint(embed_b=b64(0.5, 1.5, 2.5)),
+                                    "error:data-format:",
+                                    "parameter embed_b has shape (3,), want (4,)"),
 }
 
 
@@ -360,6 +412,7 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(prefix)
     assert names in err
+    assert prefix != "error:data-format:" or str(tmp_path) in err  # names the file
     assert not (tmp_path / "out").exists()
 
 
@@ -447,7 +500,7 @@ NOT_AN_INT = st.sampled_from(["1.5", "true", "1e400"])
 @st.composite
 def malformed_files(draw):
     """(command, dataset text, checkpoint text) with one fault in one of the files;
-    the dataset is in either layout."""
+    the dataset is in any layout."""
     command = draw(st.sampled_from(["train", "eval", "ablate"]))
     dataset = json.loads(json.dumps(VALID_DATASET))
     checkpoint = FIXTURE.read_text()
@@ -489,7 +542,9 @@ def malformed_files(draw):
         values[draw(st.integers(0, len(values) - 1))] = draw(
             st.booleans() if fault == "checkpoint-boolean" else st.sampled_from(["1.5", "0"]))
         checkpoint = json.dumps(doc)
-    text = dataset_text(dataset, draw(st.sampled_from([1, 2]), label="layout"), draw(NOT_AN_INT))
+    # packing a bag's instances would hide a fault in them
+    layouts = [1, 2] if fault in ("ragged", "feature", "boolean", "instances") else [1, 2, 3]
+    text = dataset_text(dataset, draw(st.sampled_from(layouts), label="layout"), draw(NOT_AN_INT))
     if fault == "cut":
         text = text[:draw(st.integers(0, text.rindex("}")))]
     elif fault == "checkpoint-cut":

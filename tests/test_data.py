@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acmil import jsonio
 from acmil.bags import Bag
 from acmil.data import (
     Dataset,
@@ -121,7 +123,8 @@ def test_text_round_trip_preserves_values_exactly(tmp_path):
 def test_features_of_zeros_and_ones_load_and_a_boolean_among_them_does_not(tmp_path, rows, loads):
     path = tmp_path / "ds.json"
     save_dataset(Dataset(2, 2, [Bag(id="b0", instances=np.zeros((2, 2)), label=0)]), path)
-    path.write_text(path.read_text().replace("[[0.0,0.0],[0.0,0.0]]", json.dumps(rows)))
+    packed = json.dumps(jsonio.pack(np.zeros((2, 2))))
+    path.write_text(path.read_text().replace(packed, json.dumps(rows)))
     if loads:
         assert np.array_equal(load_dataset(path).bags[0].instances, np.array(rows, float))
     else:
@@ -169,10 +172,10 @@ def test_loading_peaks_below_twice_the_file_plus_the_arrays(tmp_path):
 
 def test_loading_a_large_file_peaks_below_its_size(tmp_path):
     # the file is read a line, one bag, at a time: neither its bytes nor its text
-    # are held whole, so only the arrays (about 8 of every 20 bytes) accumulate
+    # are held whole, so only the arrays (3 of every 4 bytes of packed text) accumulate
     rng = np.random.default_rng(0)
     bags = [Bag(id=f"b{i}", instances=rng.normal(size=(150, 32)), label=i % 2,
-                instance_labels=np.zeros(150, dtype=np.int64)) for i in range(100)]
+                instance_labels=np.zeros(150, dtype=np.int64)) for i in range(160)]
     path = tmp_path / "large.json"
     save_dataset(Dataset(feature_dim=32, num_classes=2, bags=bags), path)
     assert path.stat().st_size > 8_000_000
@@ -234,10 +237,11 @@ def test_load_reports_line_and_column_for_malformed_json(tmp_path):
                                    f"column {exc.colno}: {exc.msg}")
 
 
-DATASET_V1 = Path(__file__).parent / "fixtures" / "dataset_v1.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+DATASET_V1, DATASET_V2 = FIXTURES / "dataset_v1.json", FIXTURES / "dataset_v2.json"
 
 
-def small_v2_lines(tmp_path) -> list[bytes]:
+def small_dataset_lines(tmp_path) -> list[bytes]:
     ds = split_dataset(generate_synthetic(small_config(bags_per_class=3)), (0.6, 0.2, 0.2), 1)
     path = tmp_path / "ds.json"
     save_dataset(ds, path)
@@ -245,21 +249,34 @@ def small_v2_lines(tmp_path) -> list[bytes]:
 
 
 def test_a_dataset_is_a_header_line_and_one_bag_per_line(tmp_path):
-    lines = small_v2_lines(tmp_path)
+    lines = small_dataset_lines(tmp_path)
     header = json.loads(lines[0])
     assert list(header) == ["format", "format_version", "feature_dim", "num_classes",
                             "provenance", "warnings", "bags"]
-    assert header["format_version"] == 2 and header["bags"] == len(lines) - 1 == 6
+    assert header["format_version"] == 3 and header["bags"] == len(lines) - 1 == 6
     assert [list(json.loads(line)) for line in lines[1:]] == [
         ["id", "label", "split", "instance_labels", "instances"]] * 6
     proc = subprocess.run([sys.executable, "-m", "json.tool", "--json-lines",
                            str(tmp_path / "ds.json")], capture_output=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout.count(b'"format_version": 2') == 1
+    assert proc.returncode == 0 and proc.stdout.count(b'"format_version": 3') == 1
 
 
-def check_v1_fixture(ds):
-    """``ds`` holds what ``json.loads`` reads from the version-1 fixture, bit for bit."""
-    doc = json.loads(DATASET_V1.read_text())
+def test_packed_instances_are_little_endian_float64_rows_in_base64(tmp_path):
+    lines = small_dataset_lines(tmp_path)
+    ds = load_dataset(tmp_path / "ds.json")
+    for bag, line in zip(ds.bags, lines[1:], strict=True):
+        raw = base64.b64decode(json.loads(line)["instances"], validate=True)
+        assert raw == bag.instances.astype("<f8").tobytes()
+
+
+def fixture_doc(path) -> dict:
+    """A dataset fixture as ``json.loads`` reads it, its bag lines gathered into ``bags``."""
+    header, *bags = map(json.loads, path.read_text().splitlines())
+    return header if header["format_version"] == 1 else {**header, "bags": bags}
+
+
+def check_fixture(ds, doc):
+    """``ds`` holds what ``json.loads`` reads from a fixture's ``doc``, bit for bit."""
     assert (ds.feature_dim, ds.num_classes) == (doc["feature_dim"], doc["num_classes"])
     assert ds.provenance == doc["provenance"] and ds.warnings == doc["warnings"] != []
     assert ds.split_of == {rec["id"]: rec["split"] for rec in doc["bags"]}
@@ -276,22 +293,34 @@ def check_v1_fixture(ds):
             assert bag.instance_labels is None
 
 
-def test_a_version_1_file_loads_bit_equal_and_resaves_as_version_2(tmp_path):
-    assert json.loads(DATASET_V1.read_text())["format_version"] == 1
-    ds = load_dataset(DATASET_V1)
-    check_v1_fixture(ds)
+def check_resaves_as_version_3(tmp_path, fixture):
+    """``fixture`` loads bit-equal, re-saves as version 3, reloads bit-equal and
+    re-saves byte-identically."""
+    doc = fixture_doc(fixture)
+    check_fixture(load_dataset(fixture), doc)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_dataset(ds, p1)
-    assert json.loads(p1.read_bytes().splitlines()[0])["format_version"] == 2
-    check_v1_fixture(load_dataset(p1))
+    save_dataset(load_dataset(fixture), p1)
+    assert json.loads(p1.read_bytes().splitlines()[0])["format_version"] == 3
+    check_fixture(load_dataset(p1), doc)
     save_dataset(load_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_version_1_file_loads_bit_equal_and_resaves_as_version_3(tmp_path):
+    assert fixture_doc(DATASET_V1)["format_version"] == 1
+    check_resaves_as_version_3(tmp_path, DATASET_V1)
+
+
+def test_a_version_2_file_loads_bit_equal_and_resaves_as_version_3(tmp_path):
+    doc = fixture_doc(DATASET_V2)
+    assert doc["format_version"] == 2 and doc["bags"] == fixture_doc(DATASET_V1)["bags"]
+    check_resaves_as_version_3(tmp_path, DATASET_V2)
 
 
 @pytest.mark.parametrize("k, fault", [(1, "semicolon"), (2, "semicolon"), (7, "semicolon"),
                                       (2, "cut"), (4, "cut"), (7, "cut")])
 def test_a_fault_on_line_k_is_placed_on_line_k(tmp_path, k, fault):
-    lines = small_v2_lines(tmp_path)
+    lines = small_dataset_lines(tmp_path)
     line = lines[k - 1].rstrip(b"\n")
     bad = line[:len(line) // 2] if fault == "cut" else line.replace(b",", b";", 1)
     lines[k - 1] = bad + b"\n"
@@ -308,7 +337,7 @@ def test_a_fault_on_line_k_is_placed_on_line_k(tmp_path, k, fault):
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_bad_utf8_on_line_k_is_placed_by_its_byte_in_the_file(tmp_path, k):
-    lines = small_v2_lines(tmp_path)
+    lines = small_dataset_lines(tmp_path)
     at = len(lines[k - 1]) // 2
     lines[k - 1] = lines[k - 1][:at] + b"\xff" + lines[k - 1][at:]
     path = tmp_path / "bad.json"
@@ -320,7 +349,7 @@ def test_bad_utf8_on_line_k_is_placed_by_its_byte_in_the_file(tmp_path, k):
 
 @pytest.mark.parametrize("change", ["drop-last", "drop-all", "repeat-last"])
 def test_bag_lines_that_do_not_match_the_header_count_are_a_data_format_error(tmp_path, change):
-    lines = small_v2_lines(tmp_path)
+    lines = small_dataset_lines(tmp_path)
     lines = {"drop-last": lines[:-1], "drop-all": lines[:1],
              "repeat-last": lines + lines[-1:]}[change]
     path = tmp_path / "bad.json"
@@ -331,7 +360,7 @@ def test_bag_lines_that_do_not_match_the_header_count_are_a_data_format_error(tm
 
 
 def test_a_dataset_read_from_a_pipe_loads(tmp_path):
-    text = b"".join(small_v2_lines(tmp_path))
+    text = b"".join(small_dataset_lines(tmp_path))
     expected = load_dataset(tmp_path / "ds.json")
     read_fd, write_fd = os.pipe()
 

@@ -1,5 +1,6 @@
-"""The JSON writer: shortest round-trip floats, numpy conversion, atomic writes;
-the reader against ``json.loads``; truncated dataset and checkpoint files."""
+"""The JSON writer: shortest round-trip floats, packed float64 arrays, numpy
+conversion, atomic writes; the reader against ``json.loads``; truncated dataset
+and checkpoint files."""
 
 import json
 import os
@@ -20,8 +21,11 @@ from acmil.errors import DataFormatError
 from acmil.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 from acmil.rng import Rng
 
-DATASET_V1 = Path(__file__).parent / "fixtures" / "dataset_v1.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+DATASET_V1, DATASET_V2 = FIXTURES / "dataset_v1.json", FIXTURES / "dataset_v2.json"
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e16, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
+PACKED_EXTREMES = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308]
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(SPECIAL_FLOATS))
 
@@ -35,6 +39,20 @@ def test_float_arrays_reload_bit_exactly(arr):
     for back in (doc["a"], doc["nested"][0]):
         assert np.asarray(back, dtype=np.float64).reshape(arr.shape).tobytes() == arr.tobytes()
     assert jsonio.dumps(doc) == text
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                  elements=st.one_of(FLOATS, st.sampled_from(PACKED_EXTREMES))))
+def test_packed_arrays_reload_bit_exactly(arr):
+    text = jsonio.pack(arr)
+    back = jsonio.float_array(json.loads(jsonio.dumps(text)), "a")
+    assert back.dtype == np.float64 and back.shape == (arr.size,)
+    assert back.flags.owndata and back.flags.writeable
+    assert back.tobytes() == arr.tobytes()
+    # the values in C order as little-endian float64, whatever the input's layout
+    for variant in (arr.astype(">f8"), np.asfortranarray(arr), back.reshape(arr.shape)):
+        assert jsonio.pack(variant) == text
 
 
 def test_mixed_and_non_finite_rows():
@@ -59,6 +77,8 @@ def test_non_finite_array_leaves_the_old_file(tmp_path, bad):
     before = path.read_bytes()
     with pytest.raises(ValueError):
         jsonio.dump({"x": np.array([1.0, bad])}, path)
+    with pytest.raises(ValueError, match="NaN and Inf cannot be packed"):
+        jsonio.dump({"x": jsonio.pack(np.array([1.0, bad]))}, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["doc.json"]
 
@@ -269,14 +289,16 @@ def small_files(tmp_path_factory):
     save_checkpoint(model, checkpoint, config={"epochs": 1})
     return {"dataset": (load_dataset, dataset.read_bytes()),
             "dataset_v1": (load_dataset, DATASET_V1.read_bytes()),
+            "dataset_v2": (load_dataset, DATASET_V2.read_bytes()),
             "checkpoint": (load_checkpoint, checkpoint.read_bytes())}
 
 
 @settings(deadline=None, max_examples=300)
-@given(kind=st.sampled_from(["dataset", "dataset_v1", "checkpoint"]), data=st.data())
+@given(kind=st.sampled_from(["dataset", "dataset_v1", "dataset_v2", "checkpoint"]),
+       data=st.data())
 def test_a_file_cut_before_its_closing_brace_is_a_data_format_error(
         small_files, tmp_path_factory, kind, data):
-    # a version-2 dataset cut at a line boundary falls short of its bag count
+    # a version-2 or 3 dataset cut at a line boundary falls short of its bag count
     loader, whole = small_files[kind]
     offset = data.draw(st.integers(0, whole.rindex(b"}")), label="offset")
     path = tmp_path_factory.getbasetemp() / "cut.json"

@@ -1,6 +1,7 @@
 """Parameter layout, initialisation and checkpoint compatibility."""
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,17 @@ def test_checkpoint_from_before_the_flat_layout_round_trips(tmp_path):
     doc = jsonio.load(FIXTURE)
     for name, p in model.parameters():
         assert np.array_equal(p, doc["params"][name])
-    # the fixture's 17-digit floats re-save as their shortest round-trip text,
+    # the fixture's 17-digit floats re-save packed, bit-equal and in v1 order,
     # and that re-save round-trips byte-identically
     out, again = tmp_path / "resaved.json", tmp_path / "again.json"
     save_checkpoint(model, out, config=cfg)
-    assert jsonio.load(out) == doc
+    packed = jsonio.load(out)
+    assert packed["format_version"] == 2 and list(packed["params"]) == list(doc["params"])
+    assert {k: v for k, v in packed.items() if k not in ("format_version", "params")} == {
+        k: v for k, v in doc.items() if k not in ("format_version", "params")}
+    for name, values in doc["params"].items():
+        want = np.array(values, np.float64)
+        assert jsonio.float_array(packed["params"][name], name).tobytes() == want.tobytes()
     resaved, resaved_cfg = load_checkpoint(out)
     assert resaved.flat.tobytes() == model.flat.tobytes()
     save_checkpoint(resaved, again, config=resaved_cfg)
@@ -95,3 +102,18 @@ def test_checkpoint_from_before_the_flat_layout_round_trips(tmp_path):
     ]
     assert np.max(np.abs(trace.bag_probs - want_bag)) < 1e-12
     assert np.max(np.abs(trace.branch_probs - want_branch)) < 1e-12
+
+
+def test_loading_a_checkpoint_peaks_below_five_times_its_parameter_bytes(tmp_path):
+    # the parameters are not held as Python lists of floats, at 32 bytes per value
+    model = init_model(ModelDims(32, 64, 128, 5, 2), Rng.stream(0, 0), "relu", seed=0)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(model, path)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    assert peak < 5 * model.flat.nbytes
