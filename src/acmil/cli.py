@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import AcmilError, ConfigError, RunError
 from .gradcheck import ERROR_BOUND, TINY_DIMS, TINY_INSTANCES, max_suite_error, run_suite
 from .mil import StkimConfig
 from .model import ModelDims, load_checkpoint, save_checkpoint
+from .numerics import set_blas_threads
 from .optim import TrainConfig, check_topk_list, evaluate, train
 
 DEFAULT_SPLIT_RATIOS = (0.6, 0.2, 0.2)
@@ -262,6 +262,8 @@ _worker_dataset: Dataset | None = None
 def _init_worker(ds: Dataset) -> None:
     global _worker_dataset
     _worker_dataset = ds
+    # N workers with OpenBLAS's default threads each would oversubscribe the cores
+    set_blas_threads(1)
 
 
 def _worker_run(task: tuple) -> tuple[int, int, dict | None, str | None]:
@@ -305,6 +307,8 @@ def cmd_ablate(args) -> int:
 
     results: dict[tuple[int, int], tuple[dict | None, str | None]] = {}
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every start
+
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
             for ci, si, rep, err in pool.map(_worker_run, tasks):

@@ -12,11 +12,18 @@ needed it is stated next to the forward form:
 ``finite_diff_check`` is the independent oracle for those derivations: it
 compares any analytic gradient against central differences of the actual
 loss evaluation.
+
+``set_blas_threads`` and ``one_blas_thread`` reach the thread count of the
+OpenBLAS that numpy loaded, through ``ctypes``, for callers that run numpy
+in several threads or processes of their own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import ctypes
+from contextlib import contextmanager
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +41,60 @@ def all_finite(arr: np.ndarray) -> bool:
     so the entries are checked one by one only when the sum is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.isfinite(arr.sum())) or bool(np.all(np.isfinite(arr)))
+
+
+@cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS in this process, or
+    None: another BLAS, or no ``/proc/self/maps`` to find the library in."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the symbol names of the builds numpy ships (scipy_openblas) or links
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, or None if its library cannot be reached."""
+    api = _openblas()
+    return None if api is None else int(api[0]())
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set OpenBLAS's thread count and return the previous one; None, with
+    nothing changed, if its library cannot be reached."""
+    old = blas_threads()
+    if old is not None:
+        _openblas()[1](n)
+    return old
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Hold OpenBLAS at one thread inside the block, restoring the old count
+    on exit, however the block ends.  Yields whether the count could be set."""
+    old = set_blas_threads(1)
+    try:
+        yield old is not None
+    finally:
+        if old is not None:
+            set_blas_threads(old)
 
 
 def softmax(logits) -> np.ndarray:

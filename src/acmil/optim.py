@@ -13,7 +13,10 @@ removed; a flag exists to re-enable it for the corresponding ablation.
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .metrics import (
 )
 from .mil import StkimConfig, gate_workspace, mba_forward
 from .model import ACTIVATIONS, Model, ModelDims, Params, init_model
-from .numerics import all_finite
+from .numerics import all_finite, one_blas_thread
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
@@ -273,6 +276,50 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     return best_model, TrainHistory(records=records, selected_epoch=best_epoch)
 
 
+class _BagScore(NamedTuple):
+    """What ``evaluate`` keeps of one bag's forward pass; never the trace,
+    which holds 2·N·E floats."""
+
+    probs: np.ndarray  # (C,)
+    embedding: np.ndarray  # (E,)
+    heatmap: np.ndarray  # (N,)
+    loss: LossBreakdown
+    entropy: float
+    topk: list[float]  # one per entry of the call's topk_list
+    localization_auc: float | None
+    branch_cosine: float | None  # None for one branch
+
+
+# numpy's error state is per thread: a worker thread does not inherit the caller's
+@np.errstate(all="ignore")  # the finiteness checks raise NumericsError instead
+def _score_bag(bag: Bag, model: Model, cfg: StkimConfig, rng: Rng | None, training: bool,
+               topk_list: tuple[int, ...], include_diversity: bool,
+               workspace: np.ndarray) -> _BagScore:
+    """One bag's forward pass and its per-bag metrics; ``rng`` is None unless
+    masking is active."""
+    ws = workspace[:max(EVAL_GATE_VALUES, 2 * bag.n_instances * model.dims.attn_dim)]
+    trace = mba_forward(bag, model, cfg, rng, training=training, workspace=ws)
+    if rng is None and trace.zeroed.any():
+        raise AssertionError("masking leaked into validation")
+    loss = total_loss(trace, bag.label, include_diversity=include_diversity)
+    loc_auc = None
+    if bag.instance_labels is not None:
+        loc_auc = instance_localization_auc(trace.heatmap, bag.instance_labels)
+    cosine = None
+    if model.dims.branches >= 2:  # the diversity loss is the mean pairwise cosine
+        cosine = loss.diversity if include_diversity else diversity_loss(trace.attention)
+    return _BagScore(trace.bag_probs, trace.bag_embedding, trace.heatmap, loss,
+                     attention_entropy(trace.heatmap),
+                     [topk_cumulative(trace.heatmap, k) for k in topk_list], loc_auc, cosine)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @np.errstate(all="ignore")  # the finiteness checks raise NumericsError instead
 def evaluate(
     model: Model,
@@ -293,6 +340,12 @@ def evaluate(
     each epoch through this pass.  A bag whose M branches' gates fit in
     ``EVAL_GATE_VALUES`` values is scored in one product, a larger bag one
     branch at a time (memory N·L, not N·M·L), whatever bags share the call.
+
+    A call whose largest bag exceeds that limit scores its bags in one thread
+    per available CPU, each with its own gate buffer, while OpenBLAS is held
+    at one thread; if OpenBLAS cannot be reached, or masking is active (one
+    random stream drawn in bag order), it scores them in the calling thread.
+    The results are summed in bag order either way, so they are the same.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -304,39 +357,46 @@ def evaluate(
     masking_active = stkim_at_eval or (cfg.enabled_at_eval and cfg.prob > 0.0)
     rng = Rng.stream(eval_seed, 3) if masking_active else None
     n = len(bags)
-    c = model.dims.classes
-    probs = np.empty((n, c))
-    labels = np.empty(n, dtype=np.int64)
-    embeddings = np.empty((n, model.dims.embed_dim))
+    dims = model.dims
+    c = dims.classes
+    gate_values = 2 * max(bag.n_instances for bag in bags) * dims.branches * dims.attn_dim
+    threads = 1 if masking_active or gate_values <= EVAL_GATE_VALUES else min(_cpus(), n)
+    with one_blas_thread() if threads > 1 else nullcontext(False) as pinned:
+        workers = threads if pinned else 1
+        # at most `workers` bags are scored at once, so a buffer is always spare
+        spare = [gate_workspace(model, bags, limit=EVAL_GATE_VALUES) for _ in range(workers)]
+
+        def score(bag: Bag) -> _BagScore:
+            ws = spare.pop()
+            try:
+                return _score_bag(bag, model, cfg, rng, stkim_at_eval, topk_list,
+                                  include_diversity, ws)
+            finally:
+                spare.append(ws)
+
+        if workers == 1:
+            scored = list(map(score, bags))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # map returns in bag order, so the first failing bag's error is raised
+            with ThreadPoolExecutor(workers) as pool:
+                scored = list(pool.map(score, bags))
+
+    # the sums run in bag order, so the bits do not depend on the workers
     loss_sums = np.zeros(4)
     entropy_sum = 0.0
     topk_sums = {k: 0.0 for k in topk_list}
-    loc_aucs: list[float] = []
-    pair_cosines: list[float] = []
-    attention_export: dict[str, np.ndarray] = {}
-    embedding_export: dict[str, np.ndarray] = {}
-    workspace = gate_workspace(model, bags, limit=EVAL_GATE_VALUES)
-    for i, bag in enumerate(bags):
-        ws = workspace[:max(EVAL_GATE_VALUES, 2 * bag.n_instances * model.dims.attn_dim)]
-        trace = mba_forward(bag, model, cfg, rng, training=stkim_at_eval, workspace=ws)
-        if not masking_active and trace.zeroed.any():
-            raise AssertionError("masking leaked into validation")
-        loss = total_loss(trace, bag.label, include_diversity=include_diversity)
-        loss_sums += (loss.bag, loss.branch, loss.diversity, loss.total)
-        probs[i] = trace.bag_probs
-        labels[i] = bag.label
-        embeddings[i] = trace.bag_embedding
-        entropy_sum += attention_entropy(trace.heatmap)
-        for k in topk_list:
-            topk_sums[k] += topk_cumulative(trace.heatmap, k)
-        if bag.instance_labels is not None:
-            auc = instance_localization_auc(trace.heatmap, bag.instance_labels)
-            if auc is not None:
-                loc_aucs.append(auc)
-        if model.dims.branches >= 2:
-            pair_cosines.append(diversity_loss(trace.attention))
-        attention_export[bag.id] = trace.heatmap
-        embedding_export[bag.id] = trace.bag_embedding
+    for s in scored:
+        loss_sums += (s.loss.bag, s.loss.branch, s.loss.diversity, s.loss.total)
+        entropy_sum += s.entropy
+        for k, mass in zip(topk_list, s.topk):
+            topk_sums[k] += mass
+    loc_aucs = [s.localization_auc for s in scored if s.localization_auc is not None]
+    pair_cosines = [s.branch_cosine for s in scored if s.branch_cosine is not None]
+    probs = np.array([s.probs for s in scored])
+    labels = np.array([bag.label for bag in bags], dtype=np.int64)
+    embeddings = np.array([s.embedding for s in scored])
 
     auc, per_auc = macro_auc(probs, labels, c) if n >= 2 else (None, [None] * c)
     f1, per_f1 = macro_f1(probs.argmax(axis=1), labels, c)
@@ -361,5 +421,6 @@ def evaluate(
             else None
         },
     )
-    exports = {"attention": attention_export, "embeddings": embedding_export}
+    exports = {"attention": {bag.id: s.heatmap for bag, s in zip(bags, scored)},
+               "embeddings": {bag.id: s.embedding for bag, s in zip(bags, scored)}}
     return report, exports

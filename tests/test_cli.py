@@ -221,6 +221,14 @@ def test_ablate_parallel_jobs_match_sequential(tiny_data, tmp_path):
     assert (seq / "summary.csv").read_text() == (par / "summary.csv").read_text()
 
 
+def test_ablate_workers_hold_openblas_at_one_thread(monkeypatch):
+    calls = []
+    monkeypatch.setattr(acmil.numerics, "_openblas", lambda: (lambda: 2, calls.append))
+    monkeypatch.setattr(acmil.cli, "_worker_dataset", None)
+    acmil.cli._init_worker("dataset")
+    assert calls == [1] and acmil.cli._worker_dataset == "dataset"
+
+
 def test_ablate_unknown_axis_fails(tiny_data, tmp_path, capsys):
     grid = write_json(tmp_path / "grid.json", {"gamma": [1]})
     rc = main(["ablate", "--data", str(tiny_data), "--grid", grid,

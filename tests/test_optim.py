@@ -1,16 +1,21 @@
 import hashlib
 import math
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from acmil import jsonio
+from acmil import jsonio, numerics, optim
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from acmil.errors import ConfigError, NumericsError
 from acmil.mil import StkimConfig
 from acmil.model import ModelDims, Params, init_model
-from acmil.optim import AdamState, TrainConfig, adam_step, cosine_lr, evaluate, train
+from acmil.optim import (EVAL_GATE_VALUES, AdamState, TrainConfig, adam_step, cosine_lr,
+                         evaluate, train)
 from acmil.rng import Rng
 
 
@@ -258,6 +263,124 @@ def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
         assert alone["attention"][bag.id].tobytes() == together["attention"][bag.id].tobytes()
         assert (alone["embeddings"][bag.id].tobytes()
                 == together["embeddings"][bag.id].tobytes())
+
+
+# paper dims: a bag of 700 instances exceeds EVAL_GATE_VALUES in all M branches
+PAPER_DIMS = ModelDims(8, 64, 128, 5, 2)
+
+
+def mixed_bags(sizes=(7, 700, 150, 1200, 30)):
+    rng = np.random.default_rng(5)
+    return [Bag(id=f"b{i}", instances=rng.standard_normal((n, 8)), label=i % 2,
+                instance_labels=(np.arange(n) < n // 3).astype(np.int64))
+            for i, n in enumerate(sizes)]
+
+
+@pytest.fixture
+def scoring_threads(monkeypatch):
+    """Records the thread that scores each bag and OpenBLAS's thread count
+    there; several threads are asked for on any machine."""
+    seen = []
+    forward = optim.mba_forward
+
+    def recording(*args, **kwargs):
+        seen.append((threading.get_ident(), numerics.blas_threads()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "mba_forward", recording)
+    monkeypatch.setattr(optim, "_cpus", lambda: 3)
+    return seen
+
+
+def test_threaded_evaluate_matches_one_worker(scoring_threads, monkeypatch):
+    # one worker per bag, more than the cores, switching threads often: two
+    # workers sharing a gate buffer would change the bits
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    bags = mixed_bags((7, 700, 150, 1200, 30, 460, 90, 800))
+    assert 2 * max(b.n_instances for b in bags) * 5 * 128 > EVAL_GATE_VALUES
+    monkeypatch.setattr(optim, "_cpus", lambda: len(bags))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, threaded_exports = evaluate(model, bags, topk_list=(1, 5))
+    finally:
+        sys.setswitchinterval(interval)
+    if numerics.blas_threads() is not None:
+        assert all(ident != threading.get_ident() and blas == 1
+                   for ident, blas in scoring_threads)
+    scoring_threads.clear()
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)  # the hook cannot reach BLAS
+    serial, serial_exports = evaluate(model, bags, topk_list=(1, 5))
+    assert {ident for ident, _ in scoring_threads} == {threading.get_ident()}
+    assert threaded.to_dict() == serial.to_dict()
+    for kind in ("attention", "embeddings"):
+        for bag in bags:
+            assert (threaded_exports[kind][bag.id].tobytes()
+                    == serial_exports[kind][bag.id].tobytes())
+
+
+def test_evaluate_with_masking_scores_in_the_calling_thread(scoring_threads):
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    bags = mixed_bags((700, 1200))
+    evaluate(model, bags, stkim=StkimConfig(count=3, prob=0.5), stkim_at_eval=True)
+    assert {ident for ident, _ in scoring_threads} == {threading.get_ident()}
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS held at two threads for the test, so that a count left at one shows."""
+    old = numerics.set_blas_threads(2)
+    if old is None:
+        pytest.skip("OpenBLAS cannot be reached in this process")
+    yield
+    numerics.set_blas_threads(old)
+
+
+def test_evaluate_restores_blas_threads_and_leaves_no_thread(scoring_threads, two_blas_threads):
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    bags = mixed_bags()
+    threads = set(threading.enumerate())
+    evaluate(model, bags)
+    assert {blas for _, blas in scoring_threads} == {1}
+    assert numerics.blas_threads() == 2 and set(threading.enumerate()) == threads
+    wrong = Bag(id="wrong", instances=np.zeros((900, 3)), label=0)
+    with pytest.raises(ConfigError, match="'wrong' has 3 features"):
+        evaluate(model, bags + [wrong])
+    assert numerics.blas_threads() == 2 and set(threading.enumerate()) == threads
+
+
+def test_threaded_evaluate_raises_the_first_failing_bags_error(scoring_threads, monkeypatch):
+    # fail0 fails last in time, and first in bag order
+    forward = optim.mba_forward
+
+    def failing(bag, *args, **kwargs):
+        if bag.id.startswith("fail"):
+            time.sleep(0.2 if bag.id == "fail0" else 0.0)
+            raise NumericsError(f"{bag.id} diverged")
+        return forward(bag, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "mba_forward", failing)
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    bags = mixed_bags((1200,))
+    bags += [Bag(id=f"fail{i}", instances=np.zeros((20, 8)), label=0) for i in range(4)]
+    with pytest.raises(NumericsError, match="fail0 diverged"):
+        evaluate(model, bags)
+
+
+def test_a_diverging_model_warns_nothing_in_any_thread(scoring_threads, monkeypatch):
+    # a helper thread does not inherit the caller's numpy error state
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    model.embed_w[:] = 1e308  # the embedding overflows, the gate product makes NaN
+    bags = mixed_bags((700, 1200, 900))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericsError) as threaded:
+            evaluate(model, bags)
+    assert caught == []
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
+    with pytest.raises(NumericsError) as serial:
+        evaluate(model, bags)
+    assert str(threaded.value) == str(serial.value)
 
 
 def test_evaluate_attention_sums_to_one():
