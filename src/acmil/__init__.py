@@ -47,9 +47,6 @@ from .metrics import (
 from .mil import (
     ForwardTrace,
     StkimConfig,
-    aggregate,
-    average_heatmap,
-    embed_instances,
     mba_forward,
     pooling_forward,
     stkim_mask,
@@ -89,9 +86,7 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "adam_step",
-    "aggregate",
     "attention_entropy",
-    "average_heatmap",
     "backward",
     "bag_loss",
     "binary_auc",
@@ -99,7 +94,6 @@ __all__ = [
     "check_gradients",
     "cosine_lr",
     "diversity_loss",
-    "embed_instances",
     "evaluate",
     "finite_diff_check",
     "generate_synthetic",

@@ -320,7 +320,7 @@ def cmd_ablate(args) -> int:
 
     # one top-k mass per K of the base config, in report_row.csv's order
     metrics = ["macro_auc", "macro_f1", "mean_attention_entropy",
-               *(f"top{k}_mass" for k in sorted(set(base.topk_list))),
+               *(f"top{k}_mass" for k in sorted(base.topk_list)),
                "instance_localization_auc"]
     header = ["cell", "branches", "k_count", "k_fraction", "prob", "disable_L_d",
               "n_seeds", "n_ok"]

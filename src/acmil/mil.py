@@ -22,13 +22,14 @@ trace's gates are then None, and ``backward`` cannot run on it.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
-Masking zeroes each of the k largest attention values independently with
-probability p, then divides the survivors by their sum.  It is a train-time
-regulariser and is skipped at evaluation unless explicitly enabled.  Each
-branch draws its own mask, in branch order.  If a draw happens to zero
-every surviving unit of mass the mask is discarded and the input returned
-unchanged (a logged degenerate event, reachable only when k >= N and p is
-near 1).
+Masking zeroes each of the k largest attention values of every branch row
+independently with probability p, then divides the row's survivors by their
+sum.  It is a train-time regulariser and is skipped at evaluation unless
+explicitly enabled.  One call masks the whole (M, N) stack of a bag: the
+coins are drawn branch by branch, and within a branch in descending rank
+order.  If a row's draw happens to zero every surviving unit of its mass,
+that row's mask is discarded and the row returned unchanged (a logged
+degenerate event, reachable only when k >= N and p is near 1).
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ class StkimConfig(Config):
         return super().from_dict(doc, path)
 
 
-@dataclass
-class MaskResult:
-    attention: np.ndarray
-    zeroed: np.ndarray  # bool (N,), True where the value was set to 0
-    renormalized: bool  # False when the op was an identity (or fallback)
+class Masked(NamedTuple):
+    """Masked attention of a stack of M branch rows over N instances."""
+
+    attention: np.ndarray  # (M, N), rows sum to 1
+    zeroed: np.ndarray  # bool (M, N), True where the value was set to 0
+    renormalized: np.ndarray  # bool (M,), False where the row passed through
 
 
 class BranchView(NamedTuple):
@@ -150,13 +152,6 @@ def _embed(bag: Bag, model: Model) -> tuple[np.ndarray, np.ndarray]:
     return pre, h
 
 
-def embed_instances(bag: Bag, model: Model) -> np.ndarray:
-    """(N, E) instance embeddings through the shared linear layer."""
-    _, h = _embed(bag, model)
-    require_finite(h, "instance embeddings")
-    return h
-
-
 def gate_workspace(model: Model, bags, limit: int | None = None) -> np.ndarray:
     """A flat buffer for the gates of all M branches of the largest of ``bags``,
     or, with a ``limit`` in values, of no more than the larger of that limit
@@ -199,57 +194,43 @@ def stkim_mask(
     rng: Rng | None,
     training: bool,
     frozen_zeroed: np.ndarray | None = None,
-) -> MaskResult:
-    """Zero each top-k attention value with probability p, renormalise the rest.
+) -> Masked:
+    """Zero each of a row's top-k attention values with probability p, and
+    renormalise the rest, for every row of the (M, N) stack ``attn``.
 
-    Identity (bit-exact) when not training and not enabled at eval, or when
-    no value ends up zeroed.  ``frozen_zeroed`` replays a recorded mask
-    instead of drawing, which the gradient checker uses to keep the
+    One ``rng.uniform()`` coin is drawn per top-k slot, branch by branch and
+    within a branch in stable descending rank order.  A row passes through
+    bit for bit when not training and not enabled at eval, or when none of
+    its values ends up zeroed.  ``frozen_zeroed`` (M, N) replays a recorded
+    mask instead of drawing, which the gradient checker uses to keep the
     objective deterministic.
     """
     attn = np.asarray(attn, dtype=np.float64)
-    n = attn.shape[0]
-    no_mask = np.zeros(n, dtype=bool)
+    m, n = attn.shape
+    zeroed = np.zeros((m, n), dtype=bool)
     if not training and not cfg.enabled_at_eval:
-        return MaskResult(attn, no_mask, False)
+        return Masked(attn, zeroed, np.zeros(m, dtype=bool))
 
     if frozen_zeroed is not None:
-        zeroed = frozen_zeroed.astype(bool)
-    else:
-        zeroed = no_mask.copy()
-        if cfg.prob > 0.0:
-            k_eff = cfg.resolve_k(n)
-            order = stable_argsort_desc(attn)
-            for idx in order[:k_eff]:
-                if rng is None:
-                    raise ConfigError("stkim_mask needs an rng when masking is active")
-                if rng.uniform() < cfg.prob:
-                    zeroed[idx] = True
+        zeroed[:] = frozen_zeroed
+    elif cfg.prob > 0.0 and (k := cfg.resolve_k(n)):
+        if rng is None:
+            raise ConfigError("stkim_mask needs an rng when masking is active")
+        coins = np.array([rng.uniform() for _ in range(m * k)]).reshape(m, k)
+        np.put_along_axis(zeroed, stable_argsort_desc(attn)[:, :k], coins < cfg.prob, axis=1)
 
-    if not zeroed.any():
-        return MaskResult(attn, no_mask, False)
     survivors = attn * ~zeroed
-    total = survivors.sum()
-    if total == 0.0:
+    total = survivors.sum(axis=1)
+    discarded = zeroed.any(axis=1) & (total == 0.0)
+    for _ in range(np.count_nonzero(discarded)):
         log.info("stkim: every positive attention value was masked; mask discarded")
-        return MaskResult(attn, no_mask, False)
-    return MaskResult(survivors / total, zeroed, True)
-
-
-def aggregate(attn: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
-    """Attention-weighted sum of instance embeddings."""
-    attn = np.asarray(attn, dtype=np.float64)
-    if attn.shape[0] != embeddings.shape[0]:
-        raise ValueError("attention length must match the instance count")
-    return attn @ embeddings
-
-
-def average_heatmap(branch_attns) -> np.ndarray:
-    """Elementwise mean of the branch heatmaps (rows); still sums to 1."""
-    attns = np.asarray(branch_attns, dtype=np.float64)
-    if attns.ndim != 2 or len(attns) < 1:
-        raise ValueError("average_heatmap needs at least one heatmap")
-    return attns.mean(axis=0)
+    zeroed[discarded] = False
+    renormalized = zeroed.any(axis=1)
+    if not renormalized.any():
+        return Masked(attn, zeroed, renormalized)
+    out = attn.copy()
+    out[renormalized] = survivors[renormalized] / total[renormalized, None]
+    return Masked(out, zeroed, renormalized)
 
 
 def mba_forward(
@@ -263,29 +244,23 @@ def mba_forward(
 ) -> ForwardTrace:
     """Full multi-branch forward pass producing a trace for backward.
 
-    Branches draw their masks independently, in branch order, from ``rng``;
-    ``frozen_masks`` (M, N) replays recorded ones instead.  With one branch
-    and masking off this is exactly the classic single-head gated-attention
-    pipeline.  A flat float64 ``workspace`` of at least 2·N·L values (see
-    ``gate_workspace``) holds the gates instead of a new array; one of fewer
-    than 2·N·M·L scores the branches one at a time and leaves the trace
-    without gates.
+    One ``stkim_mask`` call masks every branch, drawing from ``rng`` in
+    branch order; ``frozen_masks`` (M, N) replays recorded masks instead.
+    With one branch and masking off this is exactly the classic single-head
+    gated-attention pipeline.  A flat float64 ``workspace`` of at least
+    2·N·L values (see ``gate_workspace``) holds the gates instead of a new
+    array; one of fewer than 2·N·M·L scores the branches one at a time and
+    leaves the trace without gates.
     """
     pre, h = _embed(bag, model)
     scores, gates = _gated_scores(h, model, workspace)
     raw = softmax(scores)
-    attention = raw.copy()
-    zeroed = np.zeros(raw.shape, dtype=bool)
-    renormalized = np.zeros(len(raw), dtype=bool)
-    for i, raw_i in enumerate(raw):
-        frozen = frozen_masks[i] if frozen_masks is not None else None
-        res = stkim_mask(raw_i, stkim, rng, training, frozen_zeroed=frozen)
-        attention[i], zeroed[i], renormalized[i] = res.attention, res.zeroed, res.renormalized
+    attention, zeroed, renormalized = stkim_mask(raw, stkim, rng, training, frozen_masks)
 
     branch_embeddings = attention @ h
     branch_logits = np.einsum("mce,me->mc", model.head_w, branch_embeddings) + model.head_b
-    heatmap = average_heatmap(attention)
-    bag_embedding = aggregate(heatmap, h)
+    heatmap = attention.mean(axis=0)
+    bag_embedding = heatmap @ h
     bag_logits = model.bag_head_w @ bag_embedding + model.bag_head_b
     bag_probs = softmax(bag_logits)
     require_finite(bag_probs, "bag probabilities")
@@ -314,6 +289,7 @@ def pooling_forward(bag: Bag, model: Model, mode: str) -> np.ndarray:
     """Max- or mean-pooling baseline: pooled embedding through the bag head."""
     if mode not in POOLING_MODES:
         raise ConfigError(f"unknown pooling mode {mode!r}; choose from {POOLING_MODES}")
-    h = embed_instances(bag, model)
+    _, h = _embed(bag, model)
+    require_finite(h, "instance embeddings")
     pooled = h.max(axis=0) if mode == "max" else h.mean(axis=0)
     return softmax(model.bag_head_w @ pooled + model.bag_head_b)

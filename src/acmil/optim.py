@@ -98,11 +98,13 @@ class TrainConfig(Config):
 
 
 def check_topk_list(topk_list: tuple[int, ...], path: str = "topk_list") -> tuple[int, ...]:
-    """``topk_list`` itself, after checking it is non-empty with entries >= 1."""
+    """``topk_list`` itself, after checking it is non-empty with distinct entries >= 1."""
     if not topk_list:
         raise ConfigError(f"{path} must not be empty")
     if min(topk_list) < 1:
         raise ConfigError(f"{path} entries must be >= 1")
+    if len(set(topk_list)) < len(topk_list):
+        raise ConfigError(f"{path} entries must be distinct, got {list(topk_list)}")
     return topk_list
 
 

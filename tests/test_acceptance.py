@@ -16,7 +16,7 @@ from acmil.bags import Bag
 from acmil.cli import main
 from acmil.data import SyntheticConfig, generate_synthetic, split_dataset
 from acmil.metrics import macro_auc, topk_cumulative, v_measure
-from acmil.mil import StkimConfig, aggregate, average_heatmap, mba_forward, stkim_mask
+from acmil.mil import StkimConfig, mba_forward, stkim_mask
 from acmil.model import ModelDims, init_model
 from acmil.numerics import sigmoid, softmax
 from acmil.optim import TrainConfig, evaluate, train
@@ -59,12 +59,12 @@ def test_criterion_02_heatmap_average_aggregation_identity():
         e = rng.int_range(1, 8)
         m = rng.int_range(1, 6)
         h = rng.normal_array((n, e))
-        attns = []
-        for _ in range(m):
+        attns = np.empty((m, n))
+        for i in range(m):
             raw = rng.uniform_array((n,), 0.0, 1.0) + 1e-9
-            attns.append(raw / raw.sum())
-        via_average = aggregate(average_heatmap(attns), h)
-        via_branches = np.mean([aggregate(a, h) for a in attns], axis=0)
+            attns[i] = raw / raw.sum()
+        via_average = attns.mean(axis=0) @ h
+        via_branches = (attns @ h).mean(axis=0)
         worst = max(worst, float(np.max(np.abs(via_average - via_branches))))
     elapsed = time.time() - t0
     assert worst < 1e-10
@@ -78,15 +78,15 @@ def test_criterion_02_heatmap_average_aggregation_identity():
 def test_criterion_03_stkim_statistics():
     t0 = time.time()
     n, k, p, trials = 50, 10, 0.6, 10_000
-    attn = softmax(Rng(30).normal_array((n,)))
-    top = np.argsort(-attn, kind="stable")[:k]
+    attn = softmax(Rng(30).normal_array((n,)))[None]  # a one-branch stack
+    top = np.argsort(-attn[0], kind="stable")[:k]
     not_top = np.setdiff1d(np.arange(n), top)
     cfg = StkimConfig(count=k, prob=p)
     rng = Rng(31)
     counts = np.zeros(n)
     for _ in range(trials):
         res = stkim_mask(attn, cfg, rng, training=True)
-        counts += res.zeroed
+        counts += res.zeroed[0]
         assert abs(res.attention.sum() - 1.0) < 1e-9
     freqs = counts[top] / trials
     assert np.all(np.abs(freqs - p) < 0.02), freqs

@@ -279,6 +279,7 @@ BAD_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="x")])
 FIXTURE_DOC = jsonio.load(FIXTURE)
 NO_DIMS = {k: v for k, v in FIXTURE_DOC.items() if k != "dims"}
 TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
+TOPK_REPEATED = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[10, 5, 10]))
 STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
                                             stkim={"count": 10, "prob": "x"}))
 RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
@@ -321,6 +322,10 @@ ERROR_CASES = {
                   "error:config:", "train.lr0"),
     "topk-zero": ("train", {"train": {"topk_list": [0]}}, None, None, None,
                   "error:config:", "topk_list"),
+    "topk-repeated": ("train", {"train": {"topk_list": [10, 10]}}, None, None, None,
+                      "error:config:", "train.topk_list entries must be distinct"),
+    "ablate-topk-repeated": ("ablate", {"train": {"topk_list": [5, 5]}}, {"M": [1]}, None, None,
+                             "error:config:", "train.topk_list entries must be distinct"),
     "beta1-one": ("train", {"train": {"beta1": 1}}, None, None, None,
                   "error:config:", "beta1"),
     "string-export": ("train", {"export_attention": "false"}, None, None, None,
@@ -341,6 +346,9 @@ ERROR_CASES = {
                                "error:data-format:", "dims"),
     "checkpoint-topk-zero": ("eval", None, None, GOOD_DATASET, TOPK_ZERO,
                              "error:config:", "checkpoint config.topk_list"),
+    "checkpoint-topk-repeated": ("eval", None, None, GOOD_DATASET, TOPK_REPEATED,
+                                 "error:config:",
+                                 "checkpoint config.topk_list entries must be distinct"),
     "checkpoint-string-prob": ("eval", None, None, GOOD_DATASET, STRING_PROB,
                                "error:config:", "checkpoint config.stkim.prob"),
     "epochs-zero": ("train", {"train": {"epochs": 0}}, None, None, None,

@@ -69,7 +69,7 @@ def test_from_dict_names_the_bad_path(doc, path):
 
 @pytest.mark.parametrize("field, value", [
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("weight_decay", -1e-4),
-    ("adam_eps", 0.0), ("topk_list", (0,)), ("topk_list", (10, -1)),
+    ("adam_eps", 0.0), ("topk_list", (0,)), ("topk_list", (10, -1)), ("topk_list", (10, 10)),
 ])
 def test_train_config_range_checks(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -1,9 +1,10 @@
+import logging
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,9 +14,6 @@ from acmil.losses import backward
 from acmil.mil import (
     ForwardTrace,
     StkimConfig,
-    aggregate,
-    average_heatmap,
-    embed_instances,
     gate_workspace,
     mba_forward,
     pooling_forward,
@@ -44,11 +42,15 @@ def random_bag(seed, n, d, label=0):
 # ---------------------------------------------------------------- embedding
 
 
+def embeddings(bag, model):
+    return mba_forward(bag, model, StkimConfig(), None, training=False).embeddings
+
+
 def test_embed_zero_weights_gives_zero():
     model = tiny_model()
     model.embed_w[:] = 0.0
     model.embed_b[:] = 0.0
-    h = embed_instances(random_bag(1, 5, 3), model)
+    h = embeddings(random_bag(1, 5, 3), model)
     assert np.array_equal(h, np.zeros((5, 4)))
 
 
@@ -58,14 +60,14 @@ def test_embed_identity_on_nonnegative_input():
     model.embed_w[:] = np.eye(3)
     model.embed_b[:] = 0.0
     x = np.abs(Rng(3).normal_array((6, 3)))
-    h = embed_instances(Bag(id="x", instances=x, label=0), model)
+    h = embeddings(Bag(id="x", instances=x, label=0), model)
     assert np.allclose(h, x, atol=0.0)
 
 
 def test_embed_matches_explicit_matrix_arithmetic():
     model = tiny_model(seed=4)
     bag = random_bag(5, 2, 3)
-    h = embed_instances(bag, model)
+    h = embeddings(bag, model)
     # independent oracle: scalar loops
     for n in range(2):
         for e in range(4):
@@ -78,7 +80,7 @@ def test_embed_matches_explicit_matrix_arithmetic():
 def test_embed_dimension_mismatch():
     model = tiny_model()
     with pytest.raises(ConfigError):
-        embed_instances(random_bag(0, 4, 7), model)
+        embeddings(random_bag(0, 4, 7), model)
 
 
 # ---------------------------------------------------------------- attention
@@ -121,34 +123,119 @@ def test_gated_attention_hand_case():
 # ---------------------------------------------------------------- stkim
 
 
+def reference_mask(attn, cfg, rng, training, frozen_zeroed=None):
+    """Row-by-row masking, the loop the stacked ``stkim_mask`` replaced: each
+    branch row in turn draws one coin per top-k slot in rank order.  Returns
+    the (M, N) attention, (M, N) zeroed, (M,) renormalised flags and the
+    number of rows whose mask was discarded."""
+    rows, discards = [], 0
+    for i, row in enumerate(attn):
+        no_mask = np.zeros(len(row), dtype=bool)
+        if not training and not cfg.enabled_at_eval:
+            rows.append((row, no_mask, False))
+            continue
+        if frozen_zeroed is not None:
+            zeroed = frozen_zeroed[i].astype(bool)
+        else:
+            zeroed = no_mask.copy()
+            if cfg.prob > 0.0:
+                for idx in np.argsort(-row, kind="stable")[:cfg.resolve_k(len(row))]:
+                    if rng is None:
+                        raise ConfigError("stkim_mask needs an rng when masking is active")
+                    if rng.uniform() < cfg.prob:
+                        zeroed[idx] = True
+        survivors = row * ~zeroed
+        total = survivors.sum()
+        if not zeroed.any() or total == 0.0:
+            discards += bool(zeroed.any())
+            rows.append((row, no_mask, False))
+        else:
+            rows.append((survivors / total, zeroed, True))
+    attention, zeroed, renormalized = map(np.array, zip(*rows))
+    return attention, zeroed, renormalized, discards
+
+
+@st.composite
+def mask_cases(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    # zeros make rows whose whole mass can sit in the top k, so a draw can discard
+    weights = draw(hnp.arrays(np.float64, (m, n),
+                              elements=st.one_of(st.just(0.0), st.floats(1e-6, 1e6))))
+    assume((weights.sum(axis=1) > 0.0).all())
+    prob = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        cfg = StkimConfig(count=draw(st.integers(0, 70)), prob=prob,
+                          enabled_at_eval=draw(st.booleans()))
+    else:
+        cfg = StkimConfig(count=None, fraction=draw(st.floats(1e-3, 1.0)), prob=prob,
+                          enabled_at_eval=draw(st.booleans()))
+    frozen = draw(st.one_of(st.none(), hnp.arrays(np.bool_, (m, n))))
+    return weights / weights.sum(axis=1, keepdims=True), cfg, frozen, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mask_cases(), seed=st.integers(0, 2**64 - 1))
+def test_stacked_mask_matches_the_row_by_row_reference(case, seed, caplog):
+    attn, cfg, frozen, training = case
+    want_rng, got_rng = Rng(seed), Rng(seed)
+    want = reference_mask(attn, cfg, want_rng, training, frozen)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="acmil.mil"):
+        got = stkim_mask(attn, cfg, got_rng, training, frozen)
+    assert got.attention.dtype == np.float64 and got.attention.shape == attn.shape
+    assert got.attention.tobytes() == want[0].tobytes()
+    assert np.array_equal(got.zeroed, want[1]) and got.zeroed.dtype == bool
+    assert np.array_equal(got.renormalized, want[2]) and got.renormalized.shape == (len(attn),)
+    assert got_rng.next_u64() == want_rng.next_u64()
+    assert sum("mask discarded" in r.message for r in caplog.records) == want[3]
+    # rows that were not renormalised pass through bit for bit
+    kept = ~got.renormalized
+    assert got.attention[kept].tobytes() == attn[kept].tobytes()
+    assert not got.zeroed[kept].any()
+
+
 def test_stkim_p_zero_is_identity():
-    attn = softmax(Rng(2).normal_array((9,)))
+    attn = softmax(Rng(2).normal_array((9,)))[None]
     res = stkim_mask(attn, StkimConfig(count=3, prob=0.0), Rng(0), training=True)
     assert np.array_equal(res.attention, attn)
     assert not res.zeroed.any()
-    assert not res.renormalized
+    assert not res.renormalized.any()
 
 
 def test_stkim_eval_is_bit_identical():
-    attn = softmax(Rng(3).normal_array((14,)))
+    attn = softmax(Rng(3).normal_array((14,)))[None]
     res = stkim_mask(attn, StkimConfig(count=5, prob=0.9), None, training=False)
     assert res.attention is attn or np.array_equal(res.attention, attn)
     assert not res.zeroed.any()
 
 
 def test_stkim_hand_case_full_mask_of_top2():
-    attn = np.array([0.4, 0.3, 0.15, 0.1, 0.05])
+    attn = np.array([[0.4, 0.3, 0.15, 0.1, 0.05]])
     res = stkim_mask(attn, StkimConfig(count=2, prob=1.0), Rng(0), training=True)
-    assert np.max(np.abs(res.attention - [0.0, 0.0, 0.5, 1 / 3, 1 / 6])) < 1e-12
-    assert res.zeroed.tolist() == [True, True, False, False, False]
-    assert res.renormalized
+    assert np.max(np.abs(res.attention[0] - [0.0, 0.0, 0.5, 1 / 3, 1 / 6])) < 1e-12
+    assert res.zeroed[0].tolist() == [True, True, False, False, False]
+    assert res.renormalized.tolist() == [True]
 
 
-def test_stkim_degenerate_all_masked_falls_back():
-    res = stkim_mask(np.array([1.0]), StkimConfig(count=1, prob=1.0), Rng(0), training=True)
-    assert res.attention.tolist() == [1.0]
+def test_stkim_degenerate_all_masked_falls_back(caplog):
+    res = stkim_mask(np.array([[1.0]]), StkimConfig(count=1, prob=1.0), Rng(0), training=True)
+    assert res.attention.tolist() == [[1.0]]
     assert not res.zeroed.any()
-    assert not res.renormalized
+    assert res.renormalized.tolist() == [False]
+    # rows 1 and 3 hold all their mass in the top 2, so p = 1 masks all of it
+    attn = np.array([[0.4, 0.3, 0.2, 0.1],
+                     [0.5, 0.5, 0.0, 0.0],
+                     [0.1, 0.2, 0.3, 0.4],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [0.25, 0.25, 0.25, 0.25]])
+    with caplog.at_level(logging.INFO, logger="acmil.mil"):
+        res = stkim_mask(attn, StkimConfig(count=2, prob=1.0), Rng(0), training=True)
+    assert sum("mask discarded" in r.message for r in caplog.records) == 2
+    assert res.renormalized.tolist() == [True, False, True, False, True]
+    assert res.attention[[1, 3]].tobytes() == attn[[1, 3]].tobytes()
+    assert not res.zeroed[[1, 3]].any()
+    assert np.allclose(res.attention.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_stkim_fraction_resolution():
@@ -166,9 +253,9 @@ def test_stkim_only_top_k_indices_are_zeroed():
         scores = np.array(rng.permutation(n), dtype=np.float64)
         attn = softmax(scores)
         k = rng.int_range(1, n)
-        res = stkim_mask(attn, StkimConfig(count=k, prob=0.7), rng, training=True)
+        res = stkim_mask(attn[None], StkimConfig(count=k, prob=0.7), rng, training=True)
         top = set(np.argsort(-attn, kind="stable")[:k].tolist())
-        assert set(np.nonzero(res.zeroed)[0].tolist()) <= top
+        assert set(np.nonzero(res.zeroed[0])[0].tolist()) <= top
         assert abs(res.attention.sum() - 1.0) < 1e-9
         assert (res.attention >= 0.0).all()
 
@@ -181,18 +268,19 @@ def test_stkim_mask_properties(weights, k, prob, seed):
     assume(weights.sum() > 0.0)
     attn = weights / weights.sum()
     cfg = StkimConfig(count=k, prob=prob)
-    res = stkim_mask(attn, cfg, Rng(seed), training=True)
-    assert abs(res.attention.sum() - 1.0) <= 1e-12
+    res = stkim_mask(attn[None], cfg, Rng(seed), training=True)
+    masked, zeroed = res.attention[0], res.zeroed[0]
+    assert abs(masked.sum() - 1.0) <= 1e-12
     # at most k entries are zeroed, each among the k largest
     k_eff = cfg.resolve_k(len(attn))
-    assert res.zeroed.sum() <= k_eff
-    assert (attn[res.zeroed] >= np.sort(attn)[-k_eff]).all()
-    assert (res.attention[res.zeroed] == 0.0).all()
-    if not res.renormalized:
-        assert res.attention.tobytes() == attn.tobytes()
+    assert zeroed.sum() <= k_eff
+    assert (attn[zeroed] >= np.sort(attn)[-k_eff]).all()
+    assert (masked[zeroed] == 0.0).all()
+    if not res.renormalized[0]:
+        assert masked.tobytes() == attn.tobytes()
     # evaluation is the identity, bit for bit
-    res = stkim_mask(attn, cfg, None, training=False)
-    assert res.attention.tobytes() == attn.tobytes()
+    res = stkim_mask(attn[None], cfg, None, training=False)
+    assert res.attention[0].tobytes() == attn.tobytes()
     assert not res.zeroed.any()
 
 
@@ -203,16 +291,20 @@ def test_stkim_masking_frequency_quick():
     counts = np.zeros(20)
     trials = 2000
     for _ in range(trials):
-        res = stkim_mask(attn, StkimConfig(count=4, prob=0.6), rng, training=True)
-        counts += res.zeroed
+        res = stkim_mask(attn[None], StkimConfig(count=4, prob=0.6), rng, training=True)
+        counts += res.zeroed[0]
     freqs = counts[top] / trials
     assert np.all(np.abs(freqs - 0.6) < 0.05)
 
 
 def test_stkim_requires_rng_when_masking():
-    attn = softmax(Rng(1).normal_array((5,)))
+    attn = softmax(Rng(1).normal_array((3, 5)))
     with pytest.raises(ConfigError):
         stkim_mask(attn, StkimConfig(count=2, prob=0.5), None, training=True)
+    # no coin is drawn when k = 0 or p = 0, so none is needed then
+    for cfg in (StkimConfig(count=0, prob=0.5), StkimConfig(count=2, prob=0.0)):
+        res = stkim_mask(attn, cfg, None, training=True)
+        assert res.attention.tobytes() == attn.tobytes() and not res.zeroed.any()
 
 
 def test_stkim_config_from_dict_defaults():
@@ -238,26 +330,58 @@ def test_stkim_config_validation():
 # ---------------------------------------------------------------- pooling ops
 
 
+def uniform_attention_model(dim, branches):
+    """Identity embedding (E = D) and zero attention weights, so that every
+    branch scores all instances alike and attends uniformly until masked."""
+    model = Model(ModelDims(feature_dim=dim, embed_dim=dim, attn_dim=2, branches=branches,
+                            classes=2), "identity")
+    model.embed_w[:] = np.eye(dim)
+    return model
+
+
 def test_aggregate_one_hot_and_uniform():
+    model = uniform_attention_model(3, branches=2)
     h = Rng(4).normal_array((5, 3))
-    one_hot = np.zeros(5)
-    one_hot[2] = 1.0
-    assert np.allclose(aggregate(one_hot, h), h[2], atol=0.0)
-    assert np.allclose(aggregate(np.full(5, 0.2), h), h.mean(axis=0), atol=1e-15)
+    bag = Bag(id="x", instances=h, label=0)
+    trace = mba_forward(bag, model, StkimConfig(), None, training=False)
+    assert np.allclose(trace.bag_embedding, h.mean(axis=0), atol=1e-15)
+    # a replayed mask that keeps one instance makes every branch attend to it alone
+    keep_2 = np.ones((2, 5), dtype=bool)
+    keep_2[:, 2] = False
+    trace = mba_forward(bag, model, StkimConfig(), None, training=True, frozen_masks=keep_2)
+    assert np.array_equal(trace.branch_embeddings, [h[2], h[2]])
+    assert np.array_equal(trace.bag_embedding, h[2])
 
 
 def test_aggregate_hand_case():
-    h = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(aggregate(np.array([0.25, 0.75]), h), [2.5, 3.5], atol=1e-15)
+    # branch 0 stays uniform, branch 1 keeps the second instance: heatmap [0.25, 0.75]
+    model = uniform_attention_model(2, branches=2)
+    bag = Bag(id="x", instances=np.array([[1.0, 2.0], [3.0, 4.0]]), label=0)
+    frozen = np.array([[False, False], [True, False]])
+    trace = mba_forward(bag, model, StkimConfig(), None, training=True, frozen_masks=frozen)
+    assert trace.heatmap.tolist() == [0.25, 0.75]
+    assert np.allclose(trace.branch_embeddings, [[2.0, 3.0], [3.0, 4.0]], atol=1e-15)
+    assert np.allclose(trace.bag_embedding, [2.5, 3.5], atol=1e-15)
 
 
 def test_average_heatmap_cases():
-    a = softmax(Rng(5).normal_array((4,)))
-    assert np.array_equal(average_heatmap([a]), a)
-    assert np.allclose(average_heatmap([a, a]), a, atol=1e-15)
-    assert np.allclose(
-        average_heatmap([np.array([1.0, 0.0]), np.array([0.0, 1.0])]), [0.5, 0.5], atol=0.0
-    )
+    # one branch: the heatmap is its row, bit for bit
+    dims = ModelDims(feature_dim=3, embed_dim=4, attn_dim=5, branches=1, classes=2)
+    trace = mba_forward(random_bag(5, 4, 3), tiny_model(seed=5, dims=dims),
+                        StkimConfig(count=2, prob=0.6), Rng(0), training=True)
+    assert trace.heatmap.tobytes() == trace.attention[0].tobytes()
+    # two identical branches average to their common row
+    model = tiny_model(seed=5)
+    model.att_vu[:, 5:] = model.att_vu[:, :5]
+    model.att_w[1] = model.att_w[0]
+    trace = mba_forward(random_bag(5, 4, 3), model, StkimConfig(), None, training=False)
+    assert trace.attention[0].tobytes() == trace.attention[1].tobytes()
+    assert np.allclose(trace.heatmap, trace.attention[0], atol=1e-15)
+    # disjoint one-hot rows average to a half each
+    frozen = np.array([[True, False], [False, True]])
+    trace = mba_forward(random_bag(6, 2, 2), uniform_attention_model(2, branches=2),
+                        StkimConfig(), None, training=True, frozen_masks=frozen)
+    assert trace.heatmap.tolist() == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------- forward
@@ -325,16 +449,14 @@ def test_forward_composition_matches_component_ops():
     stkim = StkimConfig(count=3, prob=0.6)
     trace = mba_forward(bag, model, stkim, Rng(33), training=True)
 
-    h = embed_instances(bag, model)
-    attns = []
-    for i, raw in enumerate(raw_attention(bag, model)):
-        res = stkim_mask(raw, stkim, None, training=True, frozen_zeroed=trace.branches[i].zeroed)
-        attns.append(res.attention)
-        z_i = aggregate(res.attention, h)
+    h = embeddings(bag, model)
+    attns = stkim_mask(raw_attention(bag, model), stkim, None, training=True,
+                       frozen_zeroed=trace.zeroed).attention
+    for i, attn in enumerate(attns):
+        z_i = attn @ h
         probs_i = softmax(model.head_w[i] @ z_i + model.head_b[i])
         assert np.max(np.abs(probs_i - trace.branches[i].probs)) < 1e-12
-    heatmap = average_heatmap(attns)
-    z = aggregate(heatmap, h)
+    z = attns.mean(axis=0) @ h
     probs = softmax(model.bag_head_w @ z + model.bag_head_b)
     assert np.max(np.abs(probs - trace.bag_probs)) < 1e-12
 
@@ -421,7 +543,7 @@ def test_pooling_max_invariant_to_duplication():
 def test_pooling_hand_case():
     model = tiny_model(seed=5)
     bag = random_bag(6, 3, 3)
-    h = embed_instances(bag, model)
+    h = embeddings(bag, model)
     for mode, pooled in (("max", h.max(axis=0)), ("mean", h.mean(axis=0))):
         expected = softmax(model.bag_head_w @ pooled + model.bag_head_b)
         assert np.max(np.abs(pooling_forward(bag, model, mode) - expected)) < 1e-12
