@@ -37,7 +37,7 @@ the incoming gradient of each stage (per bag):
                            dw_il = sum_n T_nil S_nil g_in, dG_nil = g_in w_il,
                            dP = [dG*S*(1-T^2); dG*T*S*(1-S)]   (2, N, ML)
                            d[V; U] = dP^T H,  dH += dP_T V + dP_S U
-    embedding              relu: dPre = dH * 1[pre > 0]; identity: dPre = dH
+    embedding              relu: dPre = dH * 1[H > 0] (= 1[pre > 0]); identity: dPre = dH
                            dW_e = dPre^T X, db_e = sum_n dPre
 
 The finite-difference checker in :mod:`acmil.numerics` is the independent
@@ -128,8 +128,8 @@ def backward(
     the rest of the trace.
     """
     if trace.gates is None:
-        raise ValueError("the trace has no gates: its forward pass had a workspace for "
-                         "fewer than M branches, so it kept none for backward")
+        raise ValueError("the trace has no gates: its forward pass scored the bag in row "
+                         "blocks, so it kept none for backward")
     label = bag.label
     m, l = model.dims.branches, model.dims.attn_dim
     h = trace.embeddings
@@ -183,7 +183,7 @@ def backward(
     dh += np.matmul(d_pre, model.att_vu).sum(axis=0)
 
     if model.activation == "relu":
-        d_pre_embed = dh * (trace.pre_activations > 0.0)
+        d_pre_embed = dh * (h > 0.0)
     else:
         d_pre_embed = dh
     grads.embed_w[:] = d_pre_embed.T @ bag.instances

@@ -14,11 +14,15 @@ One bag flows through as
 V and U stack the M branches' (L, E) matrices.  The gates are computed in
 place in the output buffer of a batched product of H with the (2, ML, E)
 stack [V; U]: the head of a caller's flat ``workspace``, or a new array.
-When the workspace holds all M branches of the bag, as in training, that is
+When the workspace holds the gates of all N rows, as in training, that is
 one product, and the trace's gates view it until the next forward pass with
-that workspace.  Otherwise the branches are scored one at a time, each with
-its (2, L, E) slice of the stack, as evaluation does for large bags; the
-trace's gates are then None, and ``backward`` cannot run on it.
+that workspace.  Otherwise the rows are split into the fewest near-equal
+blocks whose gates fit it, and each block covers all M branches in one
+product; evaluation does this for large bags, so its gate memory is the
+workspace, not 2·N·M·L values.  Such a trace keeps no gates, so it is
+forward-only: ``backward`` cannot run on it.  The embedding nonlinearity
+runs in place, so no trace keeps the pre-activations; ``backward`` reads
+the ReLU's derivative off H.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
@@ -117,12 +121,12 @@ class BranchView(NamedTuple):
 class ForwardTrace:
     """Every intermediate of one bag's forward pass, retained for backward.
 
-    Per-branch quantities are stacked along a leading axis of M rows.
+    Per-branch quantities are stacked along a leading axis of M rows.  A bag
+    scored in row blocks leaves ``gates`` None: the trace is forward-only.
     """
 
-    pre_activations: np.ndarray  # (N, E) before the embedding nonlinearity
     embeddings: np.ndarray  # (N, E)
-    gates: np.ndarray | None  # (2, N, M, L) tanh(H V^T), sigm(H U^T); None if scored by branch
+    gates: np.ndarray | None  # (2, N, M, L) tanh(H V^T), sigm(H U^T)
     raw_attention: np.ndarray  # (M, N) pre-mask softmax output
     attention: np.ndarray  # (M, N) post-mask, rows sum to 1
     zeroed: np.ndarray  # bool (M, N), True where the mask zeroed the value
@@ -141,51 +145,61 @@ class ForwardTrace:
         return list(map(BranchView, *rows))
 
 
-def _embed(bag: Bag, model: Model) -> tuple[np.ndarray, np.ndarray]:
+def _embed(bag: Bag, model: Model) -> np.ndarray:
     if bag.feature_dim != model.dims.feature_dim:
         raise ConfigError(
             f"bag {bag.id!r} has {bag.feature_dim} features, model expects "
             f"{model.dims.feature_dim}"
         )
-    pre = bag.instances @ model.embed_w.T + model.embed_b
-    h = relu(pre) if model.activation == "relu" else pre
-    return pre, h
+    h = bag.instances @ model.embed_w.T
+    h += model.embed_b
+    return relu(h, out=h) if model.activation == "relu" else h
+
+
+# 1 MiB of gates: the rows of a bag scored in blocks, all M branches at a time
+GATE_BLOCK_VALUES = 2**17
+
+
+def gate_values(model: Model, n: int, limit: int | None = None) -> int:
+    """The size of the gate buffer a bag of ``n`` instances is scored with: all
+    of its 2·N·M·L gates, or, if they exceed a ``limit``, ``GATE_BLOCK_VALUES``
+    or three rows of gates if more, in which the bag is scored in row blocks.
+    From three rows on no block is a single row, which BLAS computes as a
+    vector product that rounds differently from the same row in a matrix."""
+    row = 2 * model.dims.branches * model.dims.attn_dim
+    return n * row if limit is None or n * row <= limit else max(GATE_BLOCK_VALUES, 3 * row)
 
 
 def gate_workspace(model: Model, bags, limit: int | None = None) -> np.ndarray:
-    """A flat buffer for the gates of all M branches of the largest of ``bags``,
-    or, with a ``limit`` in values, of no more than the larger of that limit
-    and one branch of it: every bag whose M branches fit the limit is then
-    scored in one product, and a larger bag one branch at a time."""
-    one = 2 * max(bag.n_instances for bag in bags) * model.dims.attn_dim
-    whole = one * model.dims.branches
-    return np.empty(whole if limit is None else min(whole, max(one, limit)))
+    """A flat buffer for the ``gate_values`` of the largest of ``bags``."""
+    return np.empty(max(gate_values(model, bag.n_instances, limit) for bag in bags))
 
 
 def _gated_scores(h: np.ndarray, model: Model, workspace: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None]:
     """(M, N) scores w_i . (T_i * S_i) of every branch, and the (2, N, M, L) gates
-    [tanh(H V^T); sigm(H U^T)], or None when ``workspace`` holds fewer than M
-    branches.  All M branches are scored in one product if the workspace holds
-    them (a new array without one), else one branch at a time, each activated
-    in place there."""
+    [tanh(H V^T); sigm(H U^T)], or None when ``workspace`` holds fewer than N
+    rows of them.  All N rows are scored in one product if the workspace holds
+    them (a new array without one), else in the fewest blocks of near-equal
+    rows that fit it, each block's gates activated in place there."""
     n, m, l = len(h), model.dims.branches, model.dims.attn_dim
+    row = 2 * m * l
     if workspace is None:
-        workspace = np.empty(2 * n * m * l)
-    elif workspace.dtype != np.float64 or workspace.size < 2 * n * l:
+        workspace = np.empty(n * row)
+    elif workspace.dtype != np.float64 or workspace.size < row:
         raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
-                         f"one branch's gates need {2 * n * l} float64")
-    chunk = m if workspace.size >= 2 * n * m * l else 1
+                         f"one row of all branches' gates needs {row} float64")
+    blocks = -(-n // (workspace.size // row))
     scores = np.empty((m, n))
-    for b in range(0, m, chunk):
-        k = min(chunk, m - b)
-        out = workspace[:2 * n * k * l].reshape(2, n, k * l)
-        g = np.matmul(h, model.att_vu[:, b * l:(b + k) * l].transpose(0, 2, 1), out=out)
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        out = workspace[:(hi - lo) * row].reshape(2, hi - lo, m * l)
+        g = np.matmul(h[lo:hi], model.att_vu.transpose(0, 2, 1), out=out)
         np.tanh(g[0], out=g[0])
         sigmoid(g[1], out=g[1])
-        t, s = g.reshape(2, n, k, l)
-        np.einsum("nml,nml,ml->mn", t, s, model.att_w[b:b + k], out=scores[b:b + k])
-    return scores, g.reshape(2, n, m, l) if chunk == m else None
+        t, s = g.reshape(2, hi - lo, m, l)
+        np.einsum("nml,nml,ml->mn", t, s, model.att_w, out=scores[:, lo:hi])
+    return scores, g.reshape(2, n, m, l) if blocks == 1 else None
 
 
 def stkim_mask(
@@ -248,11 +262,11 @@ def mba_forward(
     branch order; ``frozen_masks`` (M, N) replays recorded masks instead.
     With one branch and masking off this is exactly the classic single-head
     gated-attention pipeline.  A flat float64 ``workspace`` of at least
-    2·N·L values (see ``gate_workspace``) holds the gates instead of a new
-    array; one of fewer than 2·N·M·L scores the branches one at a time and
-    leaves the trace without gates.
+    2·M·L values (see ``gate_workspace``) holds the gates instead of a new
+    array; one of fewer than 2·N·M·L scores the bag in row blocks and
+    leaves a forward-only trace, without gates.
     """
-    pre, h = _embed(bag, model)
+    h = _embed(bag, model)
     scores, gates = _gated_scores(h, model, workspace)
     raw = softmax(scores)
     attention, zeroed, renormalized = stkim_mask(raw, stkim, rng, training, frozen_masks)
@@ -269,7 +283,6 @@ def mba_forward(
         raise AssertionError("heatmap-average and branch-mean bag embeddings diverged")
 
     return ForwardTrace(
-        pre_activations=pre,
         embeddings=h,
         gates=gates,
         raw_attention=raw,
@@ -289,7 +302,7 @@ def pooling_forward(bag: Bag, model: Model, mode: str) -> np.ndarray:
     """Max- or mean-pooling baseline: pooled embedding through the bag head."""
     if mode not in POOLING_MODES:
         raise ConfigError(f"unknown pooling mode {mode!r}; choose from {POOLING_MODES}")
-    _, h = _embed(bag, model)
+    h = _embed(bag, model)
     require_finite(h, "instance embeddings")
     pooled = h.max(axis=0) if mode == "max" else h.mean(axis=0)
     return softmax(model.bag_head_w @ pooled + model.bag_head_b)

@@ -36,14 +36,15 @@ from .metrics import (
     topk_cumulative,
     v_measure,
 )
-from .mil import StkimConfig, gate_workspace, mba_forward
+from .mil import StkimConfig, gate_values, gate_workspace, mba_forward
 from .model import ACTIVATIONS, Model, ModelDims, Params, init_model
 from .numerics import all_finite, one_blas_thread
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
 # 4 MiB of gates: all M=5 branches of a 400-instance bag at L=128 are scored in
-# one product at evaluation, as in training; larger bags one branch at a time
+# one product at evaluation, as in training; a larger bag in row blocks of
+# mil.GATE_BLOCK_VALUES (1 MiB), whatever bags share the call
 EVAL_GATE_VALUES = 2**19
 
 _INIT_STREAM = 0
@@ -280,7 +281,7 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
 
 class _BagScore(NamedTuple):
     """What ``evaluate`` keeps of one bag's forward pass; never the trace,
-    which holds 2·N·E floats."""
+    which holds the bag's N×E embeddings."""
 
     probs: np.ndarray  # (C,)
     embedding: np.ndarray  # (E,)
@@ -299,7 +300,7 @@ def _score_bag(bag: Bag, model: Model, cfg: StkimConfig, rng: Rng | None, traini
                workspace: np.ndarray) -> _BagScore:
     """One bag's forward pass and its per-bag metrics; ``rng`` is None unless
     masking is active."""
-    ws = workspace[:max(EVAL_GATE_VALUES, 2 * bag.n_instances * model.dims.attn_dim)]
+    ws = workspace[:gate_values(model, bag.n_instances, EVAL_GATE_VALUES)]
     trace = mba_forward(bag, model, cfg, rng, training=training, workspace=ws)
     if rng is None and trace.zeroed.any():
         raise AssertionError("masking leaked into validation")
@@ -340,8 +341,9 @@ def evaluate(
     ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
     the diversity term only if ``include_diversity``; training validates
     each epoch through this pass.  A bag whose M branches' gates fit in
-    ``EVAL_GATE_VALUES`` values is scored in one product, a larger bag one
-    branch at a time (memory N·L, not N·M·L), whatever bags share the call.
+    ``EVAL_GATE_VALUES`` values is scored in one product, a larger bag in
+    blocks of rows whose gates fit ``mil.GATE_BLOCK_VALUES`` values, with a
+    forward-only trace, whatever bags share the call.
 
     A call whose largest bag exceeds that limit scores its bags in one thread
     per available CPU, each with its own gate buffer, while OpenBLAS is held
@@ -351,7 +353,12 @@ def evaluate(
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
+    check_topk_list(topk_list)
+    ids = set()
     for bag in bags:
+        if bag.id in ids:  # the exports are keyed by bag id
+            raise ConfigError(f"bag id {bag.id!r} occurs more than once")
+        ids.add(bag.id)
         if bag.label >= model.dims.classes:
             raise ConfigError(f"bag {bag.id!r} has label {bag.label}, so at least "
                               f"{bag.label + 1} classes; the model has {model.dims.classes}")
@@ -359,10 +366,9 @@ def evaluate(
     masking_active = stkim_at_eval or (cfg.enabled_at_eval and cfg.prob > 0.0)
     rng = Rng.stream(eval_seed, 3) if masking_active else None
     n = len(bags)
-    dims = model.dims
-    c = dims.classes
-    gate_values = 2 * max(bag.n_instances for bag in bags) * dims.branches * dims.attn_dim
-    threads = 1 if masking_active or gate_values <= EVAL_GATE_VALUES else min(_cpus(), n)
+    c = model.dims.classes
+    largest = gate_values(model, max(bag.n_instances for bag in bags))
+    threads = 1 if masking_active or largest <= EVAL_GATE_VALUES else min(_cpus(), n)
     with one_blas_thread() if threads > 1 else nullcontext(False) as pinned:
         workers = threads if pinned else 1
         # at most `workers` bags are scored at once, so a buffer is always spare

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from acmil import jsonio, numerics, optim
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from acmil.errors import ConfigError, NumericsError
-from acmil.mil import StkimConfig
+from acmil.mil import StkimConfig, mba_forward
 from acmil.model import ModelDims, Params, init_model
 from acmil.optim import (EVAL_GATE_VALUES, AdamState, TrainConfig, adam_step, cosine_lr,
                          evaluate, train)
@@ -249,20 +250,72 @@ def test_evaluate_report_and_exports_are_pinned(stkim_at_eval):
 
 
 def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
-    # paper dims: 2200 instances exceed EVAL_GATE_VALUES in all M branches, so the
-    # call's workspace holds one branch of that bag, room for all M of the small
-    # bags; a bag of 500 exceeds the limit too.  OpenBLAS rounds a one-branch
-    # product of a bag of 2-9 instances differently from the M-branch one.
+    # paper dims: a row of all M branches' gates is 1280 values, so a bag of
+    # more than 409 instances exceeds EVAL_GATE_VALUES and is scored in blocks
+    # of at most 102 rows, the others in one product.  511 = 5 * 102 + 1 would
+    # end in a block of one row if split naively, and BLAS computes a one-row
+    # product as a vector product, which rounds differently.
     model = init_model(ModelDims(8, 64, 128, 5, 2), Rng.stream(0, 0), seed=0)
     rng = np.random.default_rng(3)
     bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 8)), label=n % 2)
-            for n in (3, 7, 150, 500, 2200)]
+            for n in (3, 7, 150, 500, 511, 2200)]
     _, together = evaluate(model, bags)
     for bag in bags:
         _, alone = evaluate(model, [bag])
+        one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
         assert alone["attention"][bag.id].tobytes() == together["attention"][bag.id].tobytes()
+        assert alone["attention"][bag.id].tobytes() == one_product.heatmap.tobytes()
         assert (alone["embeddings"][bag.id].tobytes()
-                == together["embeddings"][bag.id].tobytes())
+                == together["embeddings"][bag.id].tobytes()
+                == one_product.bag_embedding.tobytes())
+
+
+def test_a_bag_whose_row_of_gates_exceeds_a_block_is_evaluated_in_blocks_of_rows():
+    # M=5, L=16,384: one row of gates is 163,840 values, more than the 2**17 of a
+    # block, and bags of 4 or more exceed EVAL_GATE_VALUES; their buffer holds
+    # three rows, so a bag of 7 is scored in blocks of 2, 2 and 3 rows
+    model = init_model(ModelDims(2, 2, 16_384, 5, 2), Rng.stream(0, 0), seed=0)
+    rng = np.random.default_rng(5)
+    bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 2)), label=n % 2)
+            for n in (3, 4, 7)]
+    _, exports = evaluate(model, bags)
+    for bag in bags:
+        one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
+        assert exports["attention"][bag.id].tobytes() == one_product.heatmap.tobytes()
+        assert exports["embeddings"][bag.id].tobytes() == one_product.bag_embedding.tobytes()
+
+
+def test_evaluating_a_bag_of_32000_instances_holds_no_n_by_l_arrays():
+    # paper dims: one product would hold 2 * 32000 * 5 * 128 gate values
+    # (328 MB), one branch of them 65.5 MB; the embeddings are 16.4 MB
+    model = init_model(ModelDims(8, 64, 128, 5, 2), Rng.stream(0, 0), seed=0)
+    bag = Bag(id="big", instances=np.random.default_rng(0).standard_normal((32_000, 8)),
+              label=1)
+    tracemalloc.start()
+    try:
+        report, _ = evaluate(model, [bag])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_bags == 1
+    assert peak < 40e6, f"peak of {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("topk_list, problem", [((10, 10), "distinct"), ((0,), ">= 1"),
+                                                ((), "must not be empty")])
+def test_evaluate_refuses_a_bad_topk_list(topk_list, problem):
+    model = init_model(ModelDims(6, 8, 8, 2, 2), Rng.stream(0, 0), seed=0)
+    with pytest.raises(ConfigError, match=f"topk_list.*{problem}"):
+        evaluate(model, tiny_dataset().bags, topk_list=topk_list)
+
+
+def test_evaluate_refuses_a_repeated_bag_id_before_scoring_any_bag(scoring_threads):
+    model = init_model(ModelDims(6, 8, 8, 2, 2), Rng.stream(0, 0), seed=0)
+    bags = tiny_dataset().bags[:3]
+    twin = Bag(id=bags[1].id, instances=bags[0].instances, label=bags[0].label)
+    with pytest.raises(ConfigError, match=f"bag id {bags[1].id!r} occurs more than once"):
+        evaluate(model, bags + [twin])
+    assert scoring_threads == []
 
 
 # paper dims: a bag of 700 instances exceeds EVAL_GATE_VALUES in all M branches
