@@ -368,6 +368,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if not (args.eps > 0 and np.isfinite(args.eps)):
+        raise ConfigError(f"--eps must be a finite number > 0, got {args.eps}")
+    if not 0.0 <= args.mask_prob <= 1.0:
+        raise ConfigError(f"--mask-prob must lie in [0, 1], got {args.mask_prob}")
+    for flag, value in (("--seeds", args.seeds), ("--instances", args.instances)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     dims = ModelDims(
         feature_dim=args.feature_dim,
         embed_dim=args.embed_dim,
@@ -454,6 +461,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error:memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,6 +37,9 @@ the incoming gradient of each stage (per bag):
                            dw_il = sum_n T_nil S_nil g_in, dG_nil = g_in w_il,
                            dP = [dG*S*(1-T^2); dG*T*S*(1-S)]   (2, N, ML)
                            d[V; U] = dP^T H,  dH += dP_T V + dP_S U
+                           (dP is built over the trace's gate buffer, a
+                           block of rows at a time, so backward consumes
+                           the gates: a trace supports one backward)
     embedding              relu: dPre = dH * 1[H > 0] (= 1[pre > 0]); identity: dPre = dH
                            dW_e = dPre^T X, db_e = sum_n dPre
 
@@ -56,6 +59,9 @@ from .mil import ForwardTrace
 from .model import Model, Params
 
 LOG_CLAMP = 1e-12
+# 64 KiB: the temporary of each row block of the gate gradient stays below
+# malloc's mmap threshold (128 KiB by default), so it is reused, not mapped anew
+GRAD_BLOCK_VALUES = 2**13
 
 
 @dataclass
@@ -121,20 +127,26 @@ def backward(
     bag: Bag,
     model: Model,
     include_diversity: bool = True,
+    out: Params | None = None,
 ) -> Params:
-    """Analytic gradients of the total loss, in the model's flat layout.
+    """Analytic gradients of the total loss, in the model's flat layout: in
+    ``out``, if given, which every value is written to, else in a new ``Params``.
 
     The masks recorded on the trace are treated as constants, exactly like
-    the rest of the trace.
+    the rest of the trace.  The gate gradient is built over the trace's own
+    gates, which it consumes: ``trace.gates`` is None afterwards, and a
+    second ``backward`` on the trace raises ``ValueError``.
     """
     if trace.gates is None:
         raise ValueError("the trace has no gates: its forward pass scored the bag in row "
-                         "blocks, so it kept none for backward")
+                         "blocks, or backward has consumed them")
+    if out is not None and out.dims != model.dims:
+        raise ValueError(f"out holds gradients for {out.dims}, the model is {model.dims}")
     label = bag.label
     m, l = model.dims.branches, model.dims.attn_dim
     h = trace.embeddings
     a = trace.attention
-    grads = Params(model.dims)
+    grads = out if out is not None else Params(model.dims)
 
     # bag head and branch heads
     d_bag_logits = _ce_dlogits(trace.bag_probs, label)
@@ -165,22 +177,31 @@ def backward(
     # softmax and gates
     d_scores = raw * (d_raw - (d_raw * raw).sum(axis=1, keepdims=True))  # (M, N)
     n = h.shape[0]
-    t, s = trace.gates
+    gates, trace.gates = trace.gates, None
+    t, s = gates
     grads.att_w[:] = np.einsum("nml,nml,mn->ml", t, s, d_scores)
-    # dP = dG * [S(1 - T^2); TS(1 - S)], built in place (no (N, M, L) temporaries)
-    d_pre = np.empty_like(trace.gates)
-    d_t, d_s = d_pre
-    np.multiply(t, t, out=d_t)
-    np.subtract(1.0, d_t, out=d_t)
-    d_t *= s
-    np.subtract(1.0, s, out=d_s)
-    d_s *= s
-    d_s *= t
-    d_pre *= d_scores.T[:, :, None]
-    d_pre *= model.att_w
-    d_pre = d_pre.reshape(2, n, m * l)
+    # dP = dG * [S(1 - T^2); TS(1 - S)] over the gates, a block of rows at a time,
+    # so the only temporary is one block's TS(1 - S)
+    rows = max(1, GRAD_BLOCK_VALUES // (m * l))
+    scratch = np.empty((min(rows, n), m, l))
+    q = d_scores.T[:, :, None]  # (N, M, 1)
+    for lo in range(0, n, rows):
+        t_b, s_b, g_b = t[lo:lo + rows], s[lo:lo + rows], gates[:, lo:lo + rows]
+        d_s = np.subtract(1.0, s_b, out=scratch[:len(s_b)])
+        d_s *= s_b
+        d_s *= t_b
+        np.multiply(t_b, t_b, out=t_b)
+        np.subtract(1.0, t_b, out=t_b)
+        t_b *= s_b
+        s_b[...] = d_s
+        g_b *= q[lo:lo + rows]
+        g_b *= model.att_w
+    d_pre = gates.reshape(2, n, m * l)
     np.matmul(d_pre.transpose(0, 2, 1), h, out=grads.att_vu)
-    dh += np.matmul(d_pre, model.att_vu).sum(axis=0)
+    # dP_T V + dP_S U one (N, E) product at a time, not as a (2, N, E) stack
+    d_gated = np.matmul(d_pre[0], model.att_vu[0])
+    d_gated += np.matmul(d_pre[1], model.att_vu[1])
+    dh += d_gated
 
     if model.activation == "relu":
         d_pre_embed = dh * (h > 0.0)

@@ -16,11 +16,12 @@ place in the output buffer of a batched product of H with the (2, ML, E)
 stack [V; U]: the head of a caller's flat ``workspace``, or a new array.
 When the workspace holds the gates of all N rows, as in training, that is
 one product, and the trace's gates view it until the next forward pass with
-that workspace.  Otherwise the rows are split into the fewest near-equal
-blocks whose gates fit it, and each block covers all M branches in one
-product; evaluation does this for large bags, so its gate memory is the
-workspace, not 2·N·M·L values.  Such a trace keeps no gates, so it is
-forward-only: ``backward`` cannot run on it.  The embedding nonlinearity
+that workspace, or until ``backward`` consumes them: it overwrites them with
+their gradient and sets the trace's ``gates`` to None.  Otherwise the rows
+are split into the fewest near-equal blocks whose gates fit it, and each
+block covers all M branches in one product; evaluation does this for large
+bags, so its gate memory is the workspace, not 2·N·M·L values.  Such a trace
+keeps no gates, so it is forward-only: ``backward`` cannot run on it.  The embedding nonlinearity
 runs in place, so no trace keeps the pre-activations; ``backward`` reads
 the ReLU's derivative off H.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
@@ -123,6 +124,8 @@ class ForwardTrace:
 
     Per-branch quantities are stacked along a leading axis of M rows.  A bag
     scored in row blocks leaves ``gates`` None: the trace is forward-only.
+    ``backward`` consumes the gates, overwriting them with their gradient, and
+    leaves ``gates`` None too, so a trace supports one backward pass.
     """
 
     embeddings: np.ndarray  # (N, E)

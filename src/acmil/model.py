@@ -62,6 +62,10 @@ class ModelDims:
                 raise ConfigError(f"dims.{name} must be >= 1")
         if self.classes < 2:
             raise ConfigError("dims.classes must be >= 2")
+        count = sum(math.prod(shape) for shape in _shapes(self).values())
+        if 8 * count > np.iinfo(np.intp).max:
+            raise ConfigError(f"dims: {count} parameters take more float64 bytes than an "
+                              "array can index")
 
 
 def _shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:

@@ -163,12 +163,20 @@ def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
     return 0.5 * cfg.lr0 * (1.0 + float(np.cos(np.pi * epoch / cfg.epochs)))
 
 
+# 128 KiB per vector: a block of the parameters, the gradient, both moments,
+# the update and the two scratch rows (768 KiB) stays in a core's L2 cache
+ADAM_BLOCK = 2**14
+
+
 class AdamState:
-    """First/second moment vectors in the model's flat parameter layout."""
+    """First/second moment vectors in the model's flat parameter layout, plus
+    the step's update vector and its block scratch, held for the run."""
 
     def __init__(self, model: Model):
         self.m = np.zeros_like(model.flat)
         self.v = np.zeros_like(model.flat)
+        self.update = np.empty_like(model.flat)
+        self.scratch = np.empty((2, min(ADAM_BLOCK, model.flat.size)))
 
 
 def adam_step(
@@ -182,34 +190,51 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     Weight decay is L2-coupled (added to the gradient) by default; the
-    decoupled variant applies it directly to the parameters instead.
+    decoupled variant applies it directly to the parameters instead.  The
+    textbook expressions are evaluated in blocks of ``ADAM_BLOCK`` values in
+    the state's scratch, element by element in the same order as on whole
+    vectors; no parameter changes unless the whole update is finite.
     """
     if t < 1:
         raise ConfigError("adam step index starts at 1")
     b1, b2, eps, wd = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
-    p, g, m, v = model.flat, grads.flat, state.m, state.v
-    if wd != 0.0 and not cfg.decoupled_weight_decay:
-        g = g + wd * p
-    # the textbook expressions, evaluated in place in two scratch vectors
-    u = np.multiply(g, 1.0 - b1)
-    m *= b1
-    m += u
-    np.multiply(g, 1.0 - b2, out=u)
-    u *= g
-    v *= b2
-    v += u
-    update = np.divide(m, 1.0 - b1**t, out=u)
-    update *= lr
-    denom = np.divide(v, 1.0 - b2**t)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    update /= denom
+    coupled = wd != 0.0 and not cfg.decoupled_weight_decay
+    decoupled = wd != 0.0 and cfg.decoupled_weight_decay
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    p, update = model.flat, state.update
+    for lo in range(0, p.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        g, m, v, upd = grads.flat[lo:hi], state.m[lo:hi], state.v[lo:hi], update[lo:hi]
+        u, w = state.scratch[:, :len(g)]
+        if coupled:  # g + wd * p
+            np.multiply(p[lo:hi], wd, out=w)
+            w += g
+            g = w
+        np.multiply(g, 1.0 - b1, out=u)
+        m *= b1
+        m += u
+        np.multiply(g, 1.0 - b2, out=u)
+        u *= g
+        v *= b2
+        v += u
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        upd /= u
     if not all_finite(update):
         bad = Params(model.dims, update).first_nonfinite()
         raise NumericsError(f"non-finite Adam update for parameter {bad}")
-    p -= update
-    if wd != 0.0 and cfg.decoupled_weight_decay:
-        p -= lr * wd * p
+    if not decoupled:
+        p -= update
+        return
+    for lo in range(0, p.size, ADAM_BLOCK):
+        pb = p[lo:lo + ADAM_BLOCK]
+        u = state.scratch[0, :len(pb)]
+        pb -= update[lo:lo + ADAM_BLOCK]
+        np.multiply(pb, lr * wd, out=u)  # (lr * wd) * p
+        pb -= u
 
 
 def _selection_value(record: EpochRecord, metric: str) -> float:
@@ -234,11 +259,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     )
     model = init_model(dims, Rng.stream(cfg.seed, _INIT_STREAM), cfg.activation, seed=cfg.seed)
     state = AdamState(model)
+    grads = Params(dims)
     records: list[EpochRecord] = []
     best_value = -np.inf
     best_epoch = 0
     best_model = model.copy()
-    workspace = gate_workspace(model, train_bags)
+    # one gate buffer for the training steps and each epoch's validation
+    workspace = np.empty(max([gate_values(model, bag.n_instances) for bag in train_bags]
+                             + [gate_values(model, bag.n_instances, EVAL_GATE_VALUES)
+                                for bag in val_bags]))
     t = 0
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg)
@@ -251,15 +280,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
             trace = mba_forward(bag, model, cfg.stkim, mask_rng, training=True,
                                 workspace=workspace)
             loss = total_loss(trace, bag.label, include_diversity=not cfg.disable_diversity_loss)
-            grads = backward(
-                trace, bag, model, include_diversity=not cfg.disable_diversity_loss
-            )
+            backward(trace, bag, model, include_diversity=not cfg.disable_diversity_loss,
+                     out=grads)
             t += 1
             adam_step(model, grads, state, t, lr, cfg)
             sums += (loss.bag, loss.branch, loss.diversity, loss.total)
         train_mean = LossBreakdown(*(sums / len(train_bags)))
         val, _ = evaluate(model, val_bags, topk_list=cfg.topk_list,
-                          include_diversity=not cfg.disable_diversity_loss)
+                          include_diversity=not cfg.disable_diversity_loss, workspace=workspace)
         record = EpochRecord(
             epoch=epoch,
             lr=lr,
@@ -333,6 +361,7 @@ def evaluate(
     topk_list: tuple[int, ...] = (10,),
     kmeans_seed: int = 0,
     include_diversity: bool = True,
+    workspace: np.ndarray | None = None,
 ) -> tuple[MetricsReport, dict]:
     """Metrics report plus raw per-bag attention/embedding exports (arrays by bag id).
 
@@ -350,6 +379,9 @@ def evaluate(
     at one thread; if OpenBLAS cannot be reached, or masking is active (one
     random stream drawn in bag order), it scores them in the calling thread.
     The results are summed in bag order either way, so they are the same.
+    A flat float64 ``workspace`` that holds the gate buffer of the largest
+    bag, as ``gate_values`` sizes it under ``EVAL_GATE_VALUES``, serves the
+    calling thread instead of a new one; it changes no result.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -368,11 +400,18 @@ def evaluate(
     n = len(bags)
     c = model.dims.classes
     largest = gate_values(model, max(bag.n_instances for bag in bags))
+    need = max(gate_values(model, bag.n_instances, EVAL_GATE_VALUES) for bag in bags)
+    if workspace is not None and (workspace.dtype != np.float64 or workspace.size < need):
+        raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
+                         f"these bags need {need} float64")
     threads = 1 if masking_active or largest <= EVAL_GATE_VALUES else min(_cpus(), n)
     with one_blas_thread() if threads > 1 else nullcontext(False) as pinned:
         workers = threads if pinned else 1
         # at most `workers` bags are scored at once, so a buffer is always spare
-        spare = [gate_workspace(model, bags, limit=EVAL_GATE_VALUES) for _ in range(workers)]
+        spare = [gate_workspace(model, bags, limit=EVAL_GATE_VALUES)
+                 for _ in range(workers - (workspace is not None))]
+        if workspace is not None:
+            spare.append(workspace)
 
         def score(bag: Bag) -> _BagScore:
             ws = spare.pop()

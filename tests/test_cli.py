@@ -285,6 +285,9 @@ STRING_PROB = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"],
 RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
 BOOL_FEATURE = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], instances=[[True, 1.5]])])
 RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
+EIGHT_BAGS = dict(GOOD_DATASET, bags=[
+    {"id": f"b{i}", "label": i % 2, "split": split, "instances": [[0.5, 1.5], [i, -1.0]]}
+    for i, split in enumerate(["train"] * 4 + ["val"] * 2 + ["test"] * 2)])
 FOUR_CLASS_MODEL_FIVE_CLASS_DATA = dict(GOOD_DATASET, feature_dim=5, num_classes=5, bags=[
     {"id": "b0", "label": 4, "split": "test", "instances": [[0.5] * 5]}])
 
@@ -307,7 +310,8 @@ def b64(*values: float) -> str:
 
 
 # (command, config, grid, dataset, checkpoint, error prefix, text the line names,
-#  *extra flags); a dataset of NO_FLAG leaves out the --data flag
+#  *extra flags); a dataset of NO_FLAG leaves out the --data flag, and grad-check
+#  takes only the extra flags
 NO_FLAG = "no flag"
 ERROR_CASES = {
     "misspelt-section": ("train", {"trian": {"epochs": 1}}, None, None, None,
@@ -407,14 +411,37 @@ ERROR_CASES = {
                                     packed_checkpoint(embed_b=b64(0.5, 1.5, 2.5)),
                                     "error:data-format:",
                                     "parameter embed_b has shape (3,), want (4,)"),
+    # 6.4e19 parameters: more bytes than an index reaches
+    "attn-dim-1e17": ("train", {"train": {"attn_dim": 10**17}}, None, EIGHT_BAGS, None,
+                      "error:config:", "parameters take more float64 bytes than an array"),
+    # 5.1e18 bytes: more than a 57-bit address space maps, with or without overcommit
+    "attn-dim-1e15": ("train", {"train": {"attn_dim": 10**15}}, None, EIGHT_BAGS, None,
+                      "error:memory:", "Unable to allocate"),
+    "grad-check-eps-zero": ("grad-check", None, None, None, None, "error:config:", "--eps",
+                            "--eps", "0"),
+    "grad-check-eps-negative": ("grad-check", None, None, None, None, "error:config:", "--eps",
+                                "--eps", "-1"),
+    "grad-check-eps-nan": ("grad-check", None, None, None, None, "error:config:", "--eps",
+                           "--eps", "nan"),
+    "grad-check-seeds-zero": ("grad-check", None, None, None, None, "error:config:", "--seeds",
+                              "--seeds", "0"),
+    "grad-check-seeds-negative": ("grad-check", None, None, None, None, "error:config:",
+                                  "--seeds", "--seeds", "-3"),
+    "grad-check-instances-zero": ("grad-check", None, None, None, None, "error:config:",
+                                  "--instances", "--instances", "0"),
+    "grad-check-mask-prob-two": ("grad-check", None, None, None, None, "error:config:",
+                                 "--mask-prob", "--mask-prob", "2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     command, config, grid, dataset, checkpoint, prefix, names, *extra = ERROR_CASES[case]
-    argv = [command, "--out", str(tmp_path / "out"), *extra]
-    if command != "gen-data" and dataset is not NO_FLAG:
+    if command == "grad-check":  # no files in or out
+        argv = [command, *extra]
+    else:
+        argv = [command, "--out", str(tmp_path / "out"), *extra]
+    if command not in ("gen-data", "grad-check") and dataset is not NO_FLAG:
         data = dataset if dataset is not None else GOOD_DATASET
         argv += ["--data", write_json(tmp_path / "data.json", data)]
     if config is not None:

@@ -1,22 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acmil.bags import Bag
 from acmil.losses import (
+    GRAD_BLOCK_VALUES,
     LOG_CLAMP,
+    _ce_dlogits,
     backward,
+    branch_cosines,
     bag_loss,
     branch_loss,
     diversity_loss,
     total_loss,
 )
 from acmil.mil import StkimConfig, mba_forward
-from acmil.model import ModelDims, init_model
+from acmil.model import ModelDims, Params, init_model
 from acmil.rng import Rng
 from test_numerics import cosine_similarity
 
@@ -202,3 +206,98 @@ def test_extreme_logits_keep_the_loss_and_gradients_finite(seed, label, bag_bias
     assert np.all(np.isfinite(grads.flat))
     if trace.bag_probs[label] <= LOG_CLAMP:  # clamped: no gradient reaches the bag head
         assert not grads.bag_head_b.any()
+
+
+def reference_backward(trace, bag, model, include_diversity=True):
+    """Whole-bag backward, as it was before the gate gradient was built in row
+    blocks over the trace's gates: a fresh (2, N, M·L) dP and a (2, N, E)
+    product stack.  It leaves the trace as it found it."""
+    label = bag.label
+    m, l = model.dims.branches, model.dims.attn_dim
+    h = trace.embeddings
+    a = trace.attention
+    grads = Params(model.dims)
+    d_bag_logits = _ce_dlogits(trace.bag_probs, label)
+    grads.bag_head_w[:] = np.outer(d_bag_logits, trace.bag_embedding)
+    grads.bag_head_b[:] = d_bag_logits
+    dz_bag = model.bag_head_w.T @ d_bag_logits
+    d_logits = _ce_dlogits(trace.branch_probs, label) / m
+    grads.head_w[:] = d_logits[:, :, None] * trace.branch_embeddings[:, None, :]
+    grads.head_b[:] = d_logits
+    dz = np.einsum("mce,mc->me", model.head_w, d_logits)
+    d_attn = dz @ h.T + (h @ dz_bag) / m
+    dh = np.outer(trace.heatmap, dz_bag) + a.T @ dz
+    if include_diversity and m > 1:
+        cos, norms = branch_cosines(a)
+        off = 1.0 - np.eye(m)
+        pair = off / np.outer(norms, norms)
+        d_attn += 2.0 / (m * (m - 1)) * (pair @ a - ((cos * off).sum(1) / norms**2)[:, None] * a)
+    keep = ~trace.zeroed
+    raw = trace.raw_attention
+    survivors = (raw * keep).sum(axis=1, keepdims=True)
+    d_renorm = keep * (d_attn - (d_attn * a).sum(axis=1, keepdims=True)) / survivors
+    d_raw = np.where(trace.renormalized[:, None], d_renorm, d_attn)
+    d_scores = raw * (d_raw - (d_raw * raw).sum(axis=1, keepdims=True))
+    n = h.shape[0]
+    t, s = trace.gates
+    grads.att_w[:] = np.einsum("nml,nml,mn->ml", t, s, d_scores)
+    d_pre = np.empty_like(trace.gates)
+    d_t, d_s = d_pre
+    np.multiply(t, t, out=d_t)
+    np.subtract(1.0, d_t, out=d_t)
+    d_t *= s
+    np.subtract(1.0, s, out=d_s)
+    d_s *= s
+    d_s *= t
+    d_pre *= d_scores.T[:, :, None]
+    d_pre *= model.att_w
+    d_pre = d_pre.reshape(2, n, m * l)
+    np.matmul(d_pre.transpose(0, 2, 1), h, out=grads.att_vu)
+    dh += np.matmul(d_pre, model.att_vu).sum(axis=0)
+    d_pre_embed = dh * (h > 0.0) if model.activation == "relu" else dh
+    grads.embed_w[:] = d_pre_embed.T @ bag.instances
+    grads.embed_b[:] = d_pre_embed.sum(axis=0)
+    return grads
+
+
+def block_rows(m, l):
+    return max(1, GRAD_BLOCK_VALUES // (m * l))
+
+
+@settings(deadline=None, max_examples=80)
+@given(m=st.integers(1, 6), n=st.integers(1, 300), l=st.sampled_from([1, 7, 64, 200]),
+       seed=st.integers(0, 2**16), activation=st.sampled_from(["relu", "identity"]),
+       diversity=st.booleans(), prob=st.sampled_from([0.0, 0.5, 1.0]))
+# a bag of exactly one, one more than one, and two blocks of rows
+@example(m=5, n=block_rows(5, 64), l=64, seed=0, activation="relu", diversity=True, prob=0.5)
+@example(m=5, n=block_rows(5, 64) + 1, l=64, seed=1, activation="relu", diversity=True, prob=0.5)
+@example(m=6, n=2 * block_rows(6, 200), l=200, seed=2, activation="identity", diversity=False,
+         prob=1.0)
+def test_backward_matches_the_whole_bag_reference(m, n, l, seed, activation, diversity, prob):
+    dims = ModelDims(feature_dim=5, embed_dim=4, attn_dim=l, branches=m, classes=3)
+    model = init_model(dims, Rng.stream(seed, 0), activation, seed=seed)
+    bag = Bag(id="t", instances=Rng.stream(seed, 1).normal_array((n, 5)), label=seed % 3)
+    # count 3 masks some rows and, at p = 0.5, leaves others as they were
+    trace = mba_forward(bag, model, StkimConfig(count=3, prob=prob), Rng(seed), training=True)
+    twin = dataclasses.replace(trace, gates=trace.gates.copy())
+    want = reference_backward(trace, bag, model, include_diversity=diversity)
+    got = backward(trace, bag, model, include_diversity=diversity)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    out = Params(dims, np.full(model.flat.size, np.nan))  # every value must be written
+    assert backward(twin, bag, model, include_diversity=diversity, out=out) is out
+    assert out.flat.tobytes() == want.flat.tobytes()
+
+
+def test_backward_consumes_the_gates():
+    trace, bag, model = make_trace(seed=19, m=3)
+    backward(trace, bag, model)
+    assert trace.gates is None
+    with pytest.raises(ValueError, match="no gates"):
+        backward(trace, bag, model)
+
+
+def test_backward_refuses_out_of_another_shape():
+    trace, bag, model = make_trace(seed=21, m=3)
+    other = Params(ModelDims(feature_dim=4, embed_dim=3, attn_dim=3, branches=2, classes=2))
+    with pytest.raises(ValueError, match="out holds gradients"):
+        backward(trace, bag, model, out=other)

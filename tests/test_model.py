@@ -9,6 +9,7 @@ import pytest
 
 from acmil import jsonio
 from acmil.bags import Bag
+from acmil.errors import ConfigError
 from acmil.mil import StkimConfig, mba_forward
 from acmil.model import ModelDims, Params, init_model, load_checkpoint, save_checkpoint
 from acmil.rng import Rng
@@ -117,3 +118,11 @@ def test_loading_a_checkpoint_peaks_below_five_times_its_parameter_bytes(tmp_pat
         tracemalloc.stop()
     assert loaded.flat.tobytes() == model.flat.tobytes()
     assert peak < 5 * model.flat.nbytes
+
+
+def test_dims_refuse_more_parameters_than_an_array_can_index():
+    # E = L = M = 1, C = 2: D + 12 parameters, and at most intp.max // 8 fit
+    most = np.iinfo(np.intp).max // 8
+    ModelDims(most - 12, 1, 1, 1, 2)
+    with pytest.raises(ConfigError, match=f"dims: {most + 1} parameters take more"):
+        ModelDims(most - 11, 1, 1, 1, 2)

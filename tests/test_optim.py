@@ -13,7 +13,7 @@ from acmil import jsonio, numerics, optim
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from acmil.errors import ConfigError, NumericsError
-from acmil.mil import StkimConfig, mba_forward
+from acmil.mil import StkimConfig, gate_values, mba_forward
 from acmil.model import ModelDims, Params, init_model
 from acmil.optim import (EVAL_GATE_VALUES, AdamState, TrainConfig, adam_step, cosine_lr,
                          evaluate, train)
@@ -133,6 +133,44 @@ def test_adam_moments_stay_finite_and_shaped():
     assert state.m.shape == state.v.shape == model.flat.shape
     assert np.all(np.isfinite(state.m))
     assert np.all(np.isfinite(state.v))
+
+
+
+def textbook_adam(p, g, m, v, t, lr, cfg):
+    """One whole-vector Adam step: the new (p, m, v)."""
+    b1, b2, eps, wd = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
+    if not cfg.decoupled_weight_decay:
+        g = g + wd * p
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    if cfg.decoupled_weight_decay:
+        p = p - lr * wd * p
+    return p, m, v
+
+
+# a model of 81 parameters in blocks larger than, equal to and smaller than it
+# (7 leaves a short last block), and one of 21,996 in blocks of the real size
+@pytest.mark.parametrize("dims, block", [
+    (ModelDims(4, 3, 3, 2, 2), 100), (ModelDims(4, 3, 3, 2, 2), 81),
+    (ModelDims(4, 3, 3, 2, 2), 80), (ModelDims(4, 3, 3, 2, 2), 7),
+    (ModelDims(8, 64, 32, 5, 2), optim.ADAM_BLOCK)])
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_blocked_adam_equals_the_textbook_update(monkeypatch, dims, block, decoupled):
+    monkeypatch.setattr(optim, "ADAM_BLOCK", block)
+    model = init_model(dims, Rng.stream(1, 0), seed=1)
+    cfg = TrainConfig(weight_decay=0.05, decoupled_weight_decay=decoupled)
+    state = AdamState(model)
+    p, m, v = model.flat.copy(), np.zeros_like(model.flat), np.zeros_like(model.flat)
+    rng = Rng(4)
+    for t in range(1, 6):
+        grads = Params(dims, rng.normal_array(model.flat.shape))
+        before = grads.flat.copy()
+        adam_step(model, grads, state, t=t, lr=1e-2, cfg=cfg)
+        p, m, v = textbook_adam(p, grads.flat, m, v, t, 1e-2, cfg)
+        assert grads.flat.tobytes() == before.tobytes()
+        assert (model.flat.tobytes(), state.m.tobytes(), state.v.tobytes()) == (
+            p.tobytes(), m.tobytes(), v.tobytes()), f"step {t}"
 
 
 # ---------------------------------------------------------------- training
@@ -301,6 +339,22 @@ def test_evaluating_a_bag_of_32000_instances_holds_no_n_by_l_arrays():
     assert peak < 40e6, f"peak of {peak / 1e6:.1f} MB"
 
 
+
+def test_training_holds_one_gate_buffer_and_one_gradient():
+    # default dataset and paper dims: the model, its best copy, the gradient,
+    # Adam's two moments and its update are 0.68 MB each, and the gate buffer
+    # of the largest bag (N = 198) is 2.03 MB; validation scores in that buffer
+    ds = split_dataset(generate_synthetic(SyntheticConfig()), (0.6, 0.2, 0.2), 0)
+    train(tiny_dataset(), quick_config(epochs=1))  # the modules a first call imports
+    tracemalloc.start()
+    try:
+        train(ds, TrainConfig(epochs=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0e6, f"peak of {peak / 1e6:.2f} MB"  # 8.85 MB before
+
+
 @pytest.mark.parametrize("topk_list, problem", [((10, 10), "distinct"), ((0,), ">= 1"),
                                                 ((), "must not be empty")])
 def test_evaluate_refuses_a_bad_topk_list(topk_list, problem):
@@ -343,6 +397,23 @@ def scoring_threads(monkeypatch):
     monkeypatch.setattr(optim, "mba_forward", recording)
     monkeypatch.setattr(optim, "_cpus", lambda: 3)
     return seen
+
+
+@pytest.mark.parametrize("sizes", [(7, 150, 30), (7, 700, 150, 1200, 30)])
+def test_a_workspace_changes_no_evaluation(scoring_threads, sizes):
+    # the second set exceeds EVAL_GATE_VALUES, so it is scored in threads too
+    model = init_model(PAPER_DIMS, Rng.stream(0, 0), seed=0)
+    bags = mixed_bags(sizes)
+    report, exports = evaluate(model, bags, topk_list=(1, 5))
+    want = jsonio.dumps([report.to_dict(), exports])
+    need = max(gate_values(model, bag.n_instances, EVAL_GATE_VALUES) for bag in bags)
+    ws = np.full(need + 3, np.nan)  # a value read from the buffer would show
+    report, exports = evaluate(model, bags, topk_list=(1, 5), workspace=ws)
+    assert jsonio.dumps([report.to_dict(), exports]) == want
+    assert not np.isnan(ws[0])  # the calling thread's buffer
+    with pytest.raises(ValueError, match=f"workspace holds {need - 1} float64 values, "
+                                         f"these bags need {need} float64"):
+        evaluate(model, bags, workspace=np.empty(need - 1))
 
 
 def test_threaded_evaluate_matches_one_worker(scoring_threads, monkeypatch):
