@@ -23,7 +23,7 @@ from .errors import ConfigError
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _json_type(value) -> str:
+def json_type(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -44,7 +44,7 @@ def _join(path: str, key) -> str:
 def check_keys(doc, allowed, path: str) -> dict:
     """``doc`` itself, after checking that it is an object of allowed keys."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {_json_type(doc)}")
+        raise ConfigError(f"{path or 'config'}: expected an object, got {json_type(doc)}")
     for key in doc:
         if key not in allowed:
             raise ConfigError(
@@ -64,7 +64,7 @@ def decode(value, tp, path: str):
         return decode(value, tp, path)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected an array, got {_json_type(value)}")
+            raise ConfigError(f"{path}: expected an array, got {json_type(value)}")
         item = typing.get_args(tp)[0]
         return tuple(decode(v, item, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(tp, type) and issubclass(tp, Config):
@@ -72,7 +72,7 @@ def decode(value, tp, path: str):
     if tp is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, tp):
-        raise ConfigError(f"{path}: expected {_EXPECTED[tp]}, got {_json_type(value)}")
+        raise ConfigError(f"{path}: expected {_EXPECTED[tp]}, got {json_type(value)}")
     if tp is float and not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
     return value

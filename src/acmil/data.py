@@ -10,25 +10,25 @@ from shared background patterns.
 A dataset file (version 3) is JSON Lines: a header line (format, version,
 dims, provenance, warnings and the bag count), then one record per bag per
 line, each canonical compact JSON.  A record's instances are one
-``jsonio.pack`` string, which round-trips bit-exactly.  Version-2 files,
-whose instances are nested lists of numbers, are read by the same line
-reader; version-1 files, one JSON document holding the bags, are read whole.
+``jsonio.pack`` string, which round-trips bit-exactly.  A file of any other
+version is refused.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .bags import Bag
-from .config import Config, decode
+from .config import Config, decode, json_type
 from .errors import ConfigError, DataFormatError, GenerationError
 from .rng import Rng
 
 DATASET_FORMAT = "acmil-dataset"
-DATASET_VERSION = 3  # version 2 (lists of numbers) and version 1 (one document) are read
+DATASET_VERSION = 3  # the only version load_dataset reads
 SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -256,101 +256,77 @@ def save_dataset(ds: Dataset, path) -> None:
     jsonio.write_text(path, lines())
 
 
-def _bag_arrays(obj: dict) -> dict:
-    """JSON object hook: a bag record's instances become an array as soon as the decoder
-    closes it, so one bag at most is held as text or lists; ``load_dataset`` reports the
-    rest.  Packed instances become a flat array, which ``load_dataset`` shapes."""
-    if "instances" in obj:
-        rows = jsonio.float_array(obj["instances"], f"bag {obj.get('id')!r} instances")
-        if rows is not None and (rows.ndim == 2 or isinstance(obj["instances"], str)):
-            obj["instances"] = rows
-        labels = obj.get("instance_labels")
-        if type(labels) is list and all(type(v) is int and abs(v) < 2**63 for v in labels):
-            obj["instance_labels"] = np.array(labels, dtype=np.int64)
-    return obj
-
-
-def _rows_fault(bag_id: str, rows, feature_dim: int) -> str:
-    """Why a bag's instances are not an (N, feature_dim) array of numbers."""
-    if isinstance(rows, (list, np.ndarray)):
-        for r, row in enumerate(rows):
-            if isinstance(row, (list, np.ndarray)) and len(row) != feature_dim:
-                return (f"bag {bag_id!r} row {r} has {len(row)} values, "
-                        f"expected feature_dim={feature_dim}")
-    return f"bag {bag_id!r} instances must be a non-empty list of rows of numbers"
-
-
-def _read(path) -> tuple[object, list | None]:
-    """The header and bag records of a file whose first line is a header with
-    ``"format_version"`` 2 or 3; any other file is one document, read whole, and no
-    records.  Each line is decoded alone, so such a load holds one bag's text."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        try:
-            doc = jsonio.loads(head, path, _bag_arrays)
-        except DataFormatError:
-            doc = None
-        if isinstance(doc, dict) and doc.get("format_version") in (2, DATASET_VERSION):
-            records, byte = [], len(head)
-            for number, line in enumerate(fh, 2):
-                records.append(jsonio.loads(line.rstrip(b"\n"), path, _bag_arrays, number, byte))
-                byte += len(line)
-            return doc, records
-        rest = fh.read()
-    if doc is None or rest:  # not a one-line document: decode the file whole
-        doc = jsonio.loads(head + rest, path, _bag_arrays)
-    return doc, None
-
-
-def load_dataset(path) -> Dataset:
-    """The dataset in ``path``; every fault is a DataFormatError naming the file.
-    ``_bag_arrays`` converts each bag as soon as it is decoded, so loading a
-    version-2 or 3 file peaks at the arrays plus one bag's text (and lists)."""
-    doc, records = _read(path)
+@contextmanager
+def _faults_in(path):
+    """A fault in the content read inside the block becomes a DataFormatError naming
+    ``path``."""
     try:
-        if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-            raise DataFormatError("not a dataset file")
-        if records is None:  # one document: version 1
-            if doc.get("format_version") != 1:
-                raise DataFormatError("unsupported dataset version")
-            records = doc["bags"]
-        elif decode(doc["bags"], int, "bags") != len(records):
-            raise DataFormatError(f"the header declares {doc['bags']} bags, "
-                                  f"the file holds {len(records)}")
-        feature_dim = decode(doc["feature_dim"], int, "feature_dim")
-        if feature_dim < 1:
-            raise DataFormatError(f"feature_dim must be >= 1, got {feature_dim}")
-        num_classes = decode(doc["num_classes"], int, "num_classes")
-        bags = []
-        split_of = {}
-        for rec in records:
-            bag_id = str(rec["id"])
-            features = rec["instances"]
-            if isinstance(features, np.ndarray) and features.ndim == 1:  # packed
-                if features.size % feature_dim:
-                    raise DataFormatError(f"bag {bag_id!r} holds {features.size} packed "
-                                          f"values, not rows of feature_dim={feature_dim}")
-                features = features.reshape(-1, feature_dim)
-            if not isinstance(features, np.ndarray) or features.shape[1] != feature_dim:
-                raise DataFormatError(_rows_fault(bag_id, features, feature_dim))
-            if features.size and not np.all(np.isfinite(features)):
-                raise DataFormatError(f"bag {bag_id!r} contains NaN/Inf features")
-            labels = rec.get("instance_labels")
-            if labels is not None and not isinstance(labels, np.ndarray):
-                raise DataFormatError(f"bag {bag_id!r} instance_labels must be 64-bit integers")
-            label = decode(rec["label"], int, f"bag {bag_id!r} label")
-            bags.append(Bag(id=bag_id, instances=features, label=label, instance_labels=labels))
-            if "split" in rec:
-                split_of[bag_id] = str(rec["split"])
-        return Dataset(
-            feature_dim=feature_dim,
-            num_classes=num_classes,
-            bags=bags,
-            provenance=doc.get("provenance", {}),
-            split_of=split_of,
-            warnings=list(doc.get("warnings", [])),
-        )
-    except DataFormatError as exc:  # from here, Bag or Dataset: add the file
+        yield
+    except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: malformed dataset ({type(exc).__name__}: {exc})") from exc
+
+
+def _header(doc) -> tuple[int, int, dict, list[str]]:
+    """The feature_dim, num_classes, provenance and warnings of a decoded version-3
+    header."""
+    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
+        raise DataFormatError("not a dataset file")
+    version = decode(doc["format_version"], int, "format_version")
+    if version != DATASET_VERSION:
+        raise DataFormatError(f"unsupported dataset version {version}; "
+                              f"this release reads version {DATASET_VERSION}")
+    feature_dim = decode(doc["feature_dim"], int, "feature_dim")
+    if feature_dim < 1:
+        raise DataFormatError(f"feature_dim must be >= 1, got {feature_dim}")
+    num_classes = decode(doc["num_classes"], int, "num_classes")
+    if num_classes < 2:
+        raise DataFormatError(f"num_classes must be >= 2, got {num_classes}")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise DataFormatError(f"provenance: expected an object, got {json_type(provenance)}")
+    warnings = list(decode(doc.get("warnings", []), tuple[str, ...], "warnings"))
+    return feature_dim, num_classes, provenance, warnings
+
+
+def _bag(rec, feature_dim: int) -> Bag:
+    """One decoded bag record as a Bag; its packed instances become rows of
+    ``feature_dim`` values."""
+    bag_id = str(rec["id"])
+    features = jsonio.float_array(rec["instances"], f"bag {bag_id!r} instances")
+    if features.size % feature_dim:
+        raise DataFormatError(f"bag {bag_id!r} holds {features.size} packed "
+                              f"values, not rows of feature_dim={feature_dim}")
+    labels = rec.get("instance_labels")
+    if labels is not None:
+        if type(labels) is not list or not all(type(v) is int and abs(v) < 2**63
+                                               for v in labels):
+            raise DataFormatError(f"bag {bag_id!r} instance_labels must be 64-bit integers")
+        labels = np.array(labels, dtype=np.int64)
+    label = decode(rec["label"], int, f"bag {bag_id!r} label")
+    return Bag(bag_id, features.reshape(-1, feature_dim), label, labels)
+
+
+def load_dataset(path) -> Dataset:
+    """The version-3 dataset in ``path``; every fault is a DataFormatError naming the
+    file.  Each bag line is decoded and turned into arrays before the next is read, so a
+    load peaks at the arrays plus one bag's text."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        doc = jsonio.loads(head.rstrip(b"\n"), path)
+        with _faults_in(path):
+            feature_dim, num_classes, provenance, warnings = _header(doc)
+        bags, split_of, byte = [], {}, len(head)
+        for number, line in enumerate(fh, 2):
+            rec = jsonio.loads(line.rstrip(b"\n"), path, number, byte)
+            byte += len(line)
+            with _faults_in(path):
+                bags.append(_bag(rec, feature_dim))
+                if "split" in rec:
+                    split_of[bags[-1].id] = str(rec["split"])
+    with _faults_in(path):
+        if decode(doc["bags"], int, "bags") != len(bags):
+            raise DataFormatError(f"the header declares {doc['bags']} bags, "
+                                  f"the file holds {len(bags)}")
+        return Dataset(feature_dim, num_classes, bags, provenance, split_of, warnings)

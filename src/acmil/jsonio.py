@@ -11,7 +11,8 @@ output bytes deterministic for deterministically built structures.
 The large float arrays (dataset features, checkpoint parameters) are written
 with ``pack`` instead: one string, the padded base64 of the values as
 little-endian float64 in C order, which ``float_array`` decodes bit-exactly
-without parsing a float from text.
+without parsing a float from text.  A packed string is the only form of a
+float array that the loaders read.
 
 ``load`` reads a file whole and gives what ``json.loads`` gives for its
 text.  Only dataset files grow large; they are JSON Lines, which
@@ -26,12 +27,12 @@ import io
 import json
 import os
 from collections.abc import Iterable
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .config import json_type
 from .errors import DataFormatError
 
 
@@ -82,44 +83,26 @@ def pack(a) -> str:
     return base64.b64encode(a).decode("ascii")
 
 
-def float_array(value, name: str) -> np.ndarray | None:
-    """``value`` as a float64 array: a ``pack`` string as a flat array, a rectangular
-    list of JSON numbers in its shape, anything else None.  A string that is not packed
-    float64 is a DataFormatError naming ``name``.  ``np.array`` alone would read
-    ``true`` as 1.0 and ``"1.5"`` as 1.5."""
-    if isinstance(value, str):
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as exc:  # a character outside the alphabet, bad padding
-            raise DataFormatError(f"{name}: not packed float64 ({exc})") from exc
-        if len(raw) % 8:
-            raise DataFormatError(f"{name}: {len(raw)} packed bytes, not a multiple of 8")
-        return np.frombuffer(raw, "<f8").astype(np.float64)
+def float_array(value, name: str) -> np.ndarray:
+    """A ``pack`` string as a flat float64 array; anything else, or a string that is not
+    packed float64, is a DataFormatError naming ``name``."""
+    if not isinstance(value, str):
+        raise DataFormatError(f"{name}: expected a packed string, got {json_type(value)}")
     try:
-        a = np.array(value)
-    except ValueError:  # ragged
-        return None
-    if a.ndim == 0 or a.dtype.kind not in "fiu":
-        return None
-    values = value
-    for _ in range(a.ndim - 1):
-        values = chain.from_iterable(values)
-    # np.array reads a JSON boolean as 1 or 0; the type of every value is
-    # checked, so the cost does not depend on how many values are 0 or 1
-    if bool in set(map(type, values)):
-        return None
-    return a.astype(np.float64, copy=False)
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # a character outside the alphabet, bad padding
+        raise DataFormatError(f"{name}: not packed float64 ({exc})") from exc
+    if len(raw) % 8:
+        raise DataFormatError(f"{name}: {len(raw)} packed bytes, not a multiple of 8")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
 
 
-def loads(data: bytes, path, object_hook=None, line: int = 1, byte: int = 0) -> Any:
+def loads(data: bytes, path, line: int = 1, byte: int = 0) -> Any:
     """``json.loads`` of ``data``: the bytes of ``path`` from byte ``byte`` on, which
     start on line ``line`` of the file.  A DataFormatError names the file, with the line
-    and column of malformed JSON and the byte of text that is not UTF-8; one raised by
-    ``object_hook`` gets the file name."""
+    and column of malformed JSON and the byte of text that is not UTF-8."""
     try:
-        return json.loads(data.decode("utf-8"), object_hook=object_hook)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {byte + exc.start}: "
                               f"{exc.reason})") from exc
@@ -130,8 +113,8 @@ def loads(data: bytes, path, object_hook=None, line: int = 1, byte: int = 0) -> 
         raise DataFormatError(f"{path}: malformed JSON: {exc}") from exc
 
 
-def load(path, object_hook=None) -> Any:
+def load(path) -> Any:
     """The document in ``path``, read whole; errors as ``loads``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return loads(data, path, object_hook)
+    return loads(data, path)

@@ -17,17 +17,17 @@ every branch in one batched product.  Gradients and the Adam moments share this
 layout, which makes the optimizer step and model copies whole-vector
 operations.
 
-``parameters()`` lists the tensors under their per-branch names in the
-checkpoint (format v1) order: embed_w, embed_b, then for each branch
+``parameters()`` lists the tensors under their checkpoint parameter names,
+in checkpoint order: embed_w, embed_b, then for each branch
 att_v, att_u, att_w, head_w, head_b, then bag_head_w, bag_head_b.  Weights
 initialise uniform(-s, s) with s = sqrt(6 / (fan_in + fan_out)), biases zero,
 drawn in that order from the run seed, so a model is a pure function of
 (dims, activation, seed).
 
-Checkpoints are one line of JSON (format v2): ``params`` maps the v1 names,
-in v1 order, to ``jsonio.pack`` strings, each shaped on load as ``dims``
-implies; the reload is bit-exact.  Format-v1 checkpoints, whose parameters
-are nested lists of numbers, still load.
+Checkpoints are one line of JSON (format version 2): ``params`` maps the
+checkpoint parameter names, in that order, to ``jsonio.pack`` strings, each
+shaped on load as ``dims`` implies; the reload is bit-exact.  A checkpoint of
+any other version is refused.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .rng import Rng
 
 ACTIVATIONS = ("relu", "identity")
 CHECKPOINT_FORMAT = "acmil-checkpoint"
-CHECKPOINT_VERSION = 2  # version 1 (lists of numbers) is still read
+CHECKPOINT_VERSION = 2  # the only version load_checkpoint reads
 
 
 @dataclass
@@ -104,7 +104,7 @@ class Params:
         self.att_vu = vu.reshape(2, -1, dims.embed_dim)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Every tensor under its format-v1 name, in v1 order (views)."""
+        """Every tensor under its checkpoint parameter name, in checkpoint order (views)."""
         out = [("embed_w", self.embed_w), ("embed_b", self.embed_b)]
         for i in range(self.dims.branches):
             out += [
@@ -118,7 +118,7 @@ class Params:
         return out
 
     def first_nonfinite(self) -> str | None:
-        """v1 name of the first tensor holding a NaN or Inf, or None."""
+        """Checkpoint parameter name of the first tensor holding a NaN or Inf, or None."""
         if all_finite(self.flat):
             return None
         return next(name for name, p in self.parameters() if not np.all(np.isfinite(p)))
@@ -142,7 +142,7 @@ def init_model(dims: ModelDims, rng: Rng, activation: str = "relu", seed: int = 
         raise ConfigError(f"unknown activation {activation!r}; choose from {ACTIVATIONS}")
     model = Model(dims, activation, seed=seed)
     weights = [p for name, p in model.parameters() if not name.endswith("_b")]
-    # one block draw, split over the weights in v1 order; low + (high - low) * u
+    # one block draw, split over the weights in checkpoint order; low + (high - low) * u
     # is uniform()'s own formula, so each value equals a per-tensor draw
     u = rng.uniform_array(sum(p.size for p in weights))
     start = 0
@@ -170,12 +170,16 @@ def save_checkpoint(model: Model, path, config: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
+    """The version-2 checkpoint in ``path`` and its config; every fault is a
+    DataFormatError naming the file."""
     try:
         doc = jsonio.load(path)
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        if doc.get("format_version") not in (1, CHECKPOINT_VERSION):
-            raise DataFormatError(f"{path}: unsupported checkpoint version")
+        version = decode(doc["format_version"], int, "format_version")
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(f"{path}: unsupported checkpoint version {version}; "
+                                  f"this release reads version {CHECKPOINT_VERSION}")
         dd = doc["dims"]
         dims = ModelDims(**{f.name: decode(dd[f.name], int, f"dims.{f.name}")
                             for f in fields(ModelDims)})
@@ -188,18 +192,13 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             if name not in params:
                 raise DataFormatError(f"{path}: missing parameter {name}")
             a = jsonio.float_array(params[name], f"{path}: parameter {name}")
-            if a is None:
-                raise DataFormatError(f"{path}: parameter {name} must be packed float64 "
-                                      "or a list of numbers")
-            if isinstance(params[name], str) and a.size == p.size:  # packed
-                a = a.reshape(p.shape)
-            if a.shape != p.shape:
+            if a.size != p.size:
                 raise DataFormatError(
                     f"{path}: parameter {name} has shape {a.shape}, want {p.shape}"
                 )
             if not np.all(np.isfinite(a)):
                 raise DataFormatError(f"{path}: parameter {name} contains non-finite values")
-            p[...] = a
+            p[...] = a.reshape(p.shape)
         config = doc.get("config", {})
         if not isinstance(config, dict):
             raise DataFormatError(f"{path}: checkpoint config must be an object")

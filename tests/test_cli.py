@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,8 @@ from acmil.cli import main
 from acmil.data import load_dataset
 
 
-FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE = FIXTURES / "checkpoint_v2.json"
 
 TINY_SYNTH = {
     "feature_dim": 6,
@@ -54,17 +56,18 @@ def with_raw(doc, text: str) -> str:
     return json.dumps(doc).replace('"@"', text)
 
 
-def dataset_text(doc, layout: int, raw: str = "@") -> str:
-    """``doc`` as a dataset file of format version ``layout`` (1: one document,
-    2: a header line and one bag per line, 3: as 2 with each bag's list of instances
-    packed), ``"@"`` replaced as by ``with_raw``."""
-    if layout == 1:
-        return with_raw(doc, raw)
-    bags = [dict(bag, instances=jsonio.pack(bag["instances"]))
-            if layout == 3 and isinstance(bag, dict) and isinstance(bag["instances"], list)
-            else bag for bag in doc["bags"]]
-    header = {**doc, "format_version": layout, "bags": len(bags)}
-    return "".join(with_raw(part, raw) + "\n" for part in [header, *bags])
+def dataset_text(doc, raw: str = "@") -> str:
+    """``doc``, a header whose ``bags`` are the bag records, as a dataset file: the
+    header with the bag count on the first line, then one record per line; ``"@"``
+    replaced as by ``with_raw``."""
+    header = {**doc, "bags": len(doc["bags"])}
+    return "".join(with_raw(part, raw) + "\n" for part in [header, *doc["bags"]])
+
+
+def bag(bag_id: str, label: int, split: str, rows, **extra) -> dict:
+    """A bag record whose instances are ``rows`` packed."""
+    return {"id": bag_id, "label": label, "split": split, **extra,
+            "instances": jsonio.pack(rows)}
 
 
 @pytest.fixture()
@@ -271,12 +274,13 @@ def test_directory_passed_as_a_file_is_one_io_error_line(tiny_data, tmp_path, ca
 
 
 GOOD_DATASET = {
-    "format": "acmil-dataset", "format_version": 1, "feature_dim": 2, "num_classes": 2,
-    "bags": [{"id": "b0", "label": 0, "split": "train", "instances": [[0.5, 1.5]]}],
+    "format": "acmil-dataset", "format_version": 3, "feature_dim": 2, "num_classes": 2,
+    "bags": [bag("b0", 0, "train", [[0.5, 1.5]])],
 }
 NO_FEATURE_DIM = {k: v for k, v in GOOD_DATASET.items() if k != "feature_dim"}
 BAD_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="x")])
 FIXTURE_DOC = jsonio.load(FIXTURE)
+OLD_CHECKPOINT = (FIXTURES / "checkpoint_v1.json").read_text()
 NO_DIMS = {k: v for k, v in FIXTURE_DOC.items() if k != "dims"}
 TOPK_ZERO = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[0]))
 TOPK_REPEATED = dict(FIXTURE_DOC, config=dict(FIXTURE_DOC["config"], topk_list=[10, 5, 10]))
@@ -286,22 +290,26 @@ RAW_LABEL = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], label="@")])
 BOOL_FEATURE = dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], instances=[[True, 1.5]])])
 RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
 EIGHT_BAGS = dict(GOOD_DATASET, bags=[
-    {"id": f"b{i}", "label": i % 2, "split": split, "instances": [[0.5, 1.5], [i, -1.0]]}
+    bag(f"b{i}", i % 2, split, [[0.5, 1.5], [i, -1.0]])
     for i, split in enumerate(["train"] * 4 + ["val"] * 2 + ["test"] * 2)])
 FOUR_CLASS_MODEL_FIVE_CLASS_DATA = dict(GOOD_DATASET, feature_dim=5, num_classes=5, bags=[
-    {"id": "b0", "label": 4, "split": "test", "instances": [[0.5] * 5]}])
+    bag("b0", 4, "test", [[0.5] * 5])])
 
 
 def packed_dataset(instances: str) -> str:
-    """GOOD_DATASET as a version-3 file whose one bag's instances are ``instances``."""
+    """GOOD_DATASET as a file whose one bag's instances are ``instances``."""
     return dataset_text(dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0],
-                                                      instances=instances)]), 3)
+                                                      instances=instances)]))
 
 
-def packed_checkpoint(**params: str) -> dict:
-    """The fixture as a version-2 checkpoint, with ``params`` in place of its own."""
-    packed = {name: jsonio.pack(values) for name, values in FIXTURE_DOC["params"].items()}
-    return dict(FIXTURE_DOC, format_version=2, params={**packed, **params})
+def good_dataset(**header) -> str:
+    """GOOD_DATASET as a file, with ``header`` in place of its own values."""
+    return dataset_text(dict(GOOD_DATASET, **header))
+
+
+def checkpoint_with(**params) -> dict:
+    """The fixture, with ``params`` in place of its own."""
+    return dict(FIXTURE_DOC, params={**FIXTURE_DOC["params"], **params})
 
 
 def b64(*values: float) -> str:
@@ -365,12 +373,48 @@ ERROR_CASES = {
                          "error:config:", "--jobs must be >= 1", "--jobs", "0"),
     "ablate-missing-split": ("ablate", None, {"M": [1]}, None, None,
                              "error:config:", "no bags in the 'val' split"),
-    "label-1e400": ("train", None, None, with_raw(RAW_LABEL, "1e400"), None,
+    "label-1e400": ("train", None, None, dataset_text(RAW_LABEL, "1e400"), None,
                     "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
-    "label-1.5": ("train", None, None, with_raw(RAW_LABEL, "1.5"), None,
+    "label-1.5": ("train", None, None, dataset_text(RAW_LABEL, "1.5"), None,
                   "error:data-format:", "bag 'b0' label: expected an integer, got a number"),
     "feature-true": ("train", None, None, BOOL_FEATURE, None,
-                     "error:data-format:", "bag 'b0' instances must be"),
+                     "error:data-format:",
+                     "bag 'b0' instances: expected a packed string, got an array"),
+    "dataset-version-1": ("train", None, None, (FIXTURES / "dataset_v1.json").read_text(), None,
+                          "error:data-format:",
+                          "unsupported dataset version 1; this release reads version 3"),
+    "dataset-version-2": ("train", None, None, (FIXTURES / "dataset_v2.json").read_text(), None,
+                          "error:data-format:",
+                          "unsupported dataset version 2; this release reads version 3"),
+    "dataset-version-true": ("train", None, None, good_dataset(format_version=True), None,
+                             "error:data-format:",
+                             "format_version: expected an integer, got a boolean"),
+    "dataset-version-3.0": ("train", None, None, good_dataset(format_version=3.0), None,
+                            "error:data-format:",
+                            "format_version: expected an integer, got a number"),
+    "dataset-one-class": ("train", None, None, good_dataset(num_classes=1), None,
+                          "error:data-format:", "num_classes must be >= 2, got 1"),
+    "dataset-warnings-string": ("train", None, None, good_dataset(warnings="abc"), None,
+                                "error:data-format:", "warnings: expected an array, got a string"),
+    "dataset-warnings-number": ("train", None, None, good_dataset(warnings=["a", 1]), None,
+                                "error:data-format:",
+                                "warnings[1]: expected a string, got a number"),
+    "dataset-provenance-array": ("train", None, None, good_dataset(provenance=[1, 2]), None,
+                                 "error:data-format:",
+                                 "provenance: expected an object, got an array"),
+    "checkpoint-version-1": ("eval", None, None, GOOD_DATASET, OLD_CHECKPOINT,
+                             "error:data-format:",
+                             "unsupported checkpoint version 1; this release reads version 2"),
+    "checkpoint-version-true": ("eval", None, None, GOOD_DATASET,
+                                dict(FIXTURE_DOC, format_version=True), "error:data-format:",
+                                "format_version: expected an integer, got a boolean"),
+    "checkpoint-version-2.0": ("eval", None, None, GOOD_DATASET,
+                               dict(FIXTURE_DOC, format_version=2.0), "error:data-format:",
+                               "format_version: expected an integer, got a number"),
+    "checkpoint-parameter-list": ("eval", None, None, GOOD_DATASET,
+                                  checkpoint_with(embed_b=[0.5, 1.5, 2.5, 3.5]),
+                                  "error:data-format:",
+                                  "parameter embed_b: expected a packed string, got an array"),
     "dims-1e400": ("eval", None, None, GOOD_DATASET, with_raw(RAW_DIM, "1e400"),
                    "error:data-format:", "dims.feature_dim: expected an integer, got a number"),
     "gen-data-feature-dim-negative": ("gen-data", {"synthetic": {"feature_dim": -1}}, None, None,
@@ -400,15 +444,15 @@ ERROR_CASES = {
                                    None, "error:data-format:", "bag 'b0' holds 3 packed values, "
                                                                "not rows of feature_dim=2"),
     "packed-nan": ("train", None, None, packed_dataset(b64(0.5, float("nan"))), None,
-                   "error:data-format:", "bag 'b0' contains NaN/Inf features"),
+                   "error:data-format:", "bag 'b0': non-finite feature values"),
     "packed-parameter-non-alphabet": ("eval", None, None, GOOD_DATASET,
-                                      packed_checkpoint(embed_b="AAAA-AAAAAA="),
+                                      checkpoint_with(embed_b="AAAA-AAAAAA="),
                                       "error:data-format:", "parameter embed_b: not packed"),
     "packed-parameter-inf": ("eval", None, None, GOOD_DATASET,
-                             packed_checkpoint(embed_b=b64(0.5, float("inf"), 0.5, 0.5)),
+                             checkpoint_with(embed_b=b64(0.5, float("inf"), 0.5, 0.5)),
                              "error:data-format:", "parameter embed_b contains non-finite"),
     "packed-parameter-wrong-size": ("eval", None, None, GOOD_DATASET,
-                                    packed_checkpoint(embed_b=b64(0.5, 1.5, 2.5)),
+                                    checkpoint_with(embed_b=b64(0.5, 1.5, 2.5)),
                                     "error:data-format:",
                                     "parameter embed_b has shape (3,), want (4,)"),
     # 6.4e19 parameters: more bytes than an index reaches
@@ -443,7 +487,8 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
         argv = [command, "--out", str(tmp_path / "out"), *extra]
     if command not in ("gen-data", "grad-check") and dataset is not NO_FLAG:
         data = dataset if dataset is not None else GOOD_DATASET
-        argv += ["--data", write_json(tmp_path / "data.json", data)]
+        argv += ["--data", write_json(tmp_path / "data.json",
+                                      data if isinstance(data, str) else dataset_text(data))]
     if config is not None:
         argv += ["--config", write_json(tmp_path / "config.json", config)]
     if command == "ablate":
@@ -525,69 +570,99 @@ def test_a_diverging_run_prints_only_its_error_line(tiny_data, tmp_path):
 
 # ------------------------------------------------------------ malformed files
 
+VALID_ROWS = {"b0": [[0.5, 1.5], [2.5, -1.0]], "b1": [[1.0, 2.0]]}
 VALID_DATASET = {
-    "format": "acmil-dataset", "format_version": 1, "feature_dim": 2, "num_classes": 2,
-    "bags": [
-        {"id": "b0", "label": 0, "split": "train", "instance_labels": [0, 1],
-         "instances": [[0.5, 1.5], [2.5, -1.0]]},
-        {"id": "b1", "label": 1, "split": "val", "instances": [[1.0, 2.0]]},
-    ],
+    "format": "acmil-dataset", "format_version": 3, "feature_dim": 2, "num_classes": 2,
+    "bags": [bag("b0", 0, "train", VALID_ROWS["b0"], instance_labels=[0, 1]),
+             bag("b1", 1, "val", VALID_ROWS["b1"])],
 }
 TEXT = st.text(max_size=4).filter(lambda t: t != "@")
-NOT_A_NUMBER = st.one_of(TEXT, st.none(), st.just([1.5]), st.just([]))
-NOT_A_LIST = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), TEXT,
-                       st.just({}), st.just([]))
+# a string of at most 4 characters is at most 3 bytes of base64, never a whole float64
+NOT_PACKED = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), TEXT,
+                       st.just({}), st.just([]), st.just([1.5]))
 NOT_AN_INT = st.sampled_from(["1.5", "true", "1e400"])
 
 
 @st.composite
+def misspacked(draw, values) -> str:
+    """``values`` packed with one fault: a character put in before the last one (outside
+    the alphabet, or one too many), the last character cut (bad padding), or bytes cut to
+    a count that is not a multiple of 8.  (An ``=`` put after the last character of a
+    string without padding is ignored by ``base64.b64decode``.)"""
+    text = jsonio.pack(values)
+    how = draw(st.sampled_from(["insert", "padding", "bytes"]))
+    if how == "insert":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from(list("*-_ .A+/="))) + text[at:]
+    if how == "padding":
+        return text[:-1]
+    raw = base64.b64decode(text)
+    return base64.b64encode(raw[:-draw(st.integers(1, 7))]).decode()
+
+
+def as_list(draw, values):
+    """``values`` as a list of JSON numbers, one of them perhaps a boolean or a string,
+    where a packed string belongs."""
+    values = list(values)
+    values[draw(st.integers(0, len(values) - 1))] = draw(
+        st.sampled_from([0.5, 1, True, False, "1.5", None]))
+    return values
+
+
+@st.composite
 def malformed_files(draw):
-    """(command, dataset text, checkpoint text) with one fault in one of the files;
-    the dataset is in any layout."""
+    """(command, dataset text, checkpoint text) with one fault in one of the files."""
     command = draw(st.sampled_from(["train", "eval", "ablate"]))
     dataset = json.loads(json.dumps(VALID_DATASET))
     checkpoint = FIXTURE.read_text()
-    bag = dataset["bags"][draw(st.integers(0, 1))]
-    fault = draw(st.sampled_from(["ragged", "feature", "boolean", "instances", "record",
-                                  "integer", "cut",
-                                  *(["checkpoint-integer", "checkpoint-boolean", "checkpoint-string",
-                                     "checkpoint-cut"] if command == "eval" else [])]))
-    if fault == "ragged":
-        bag["instances"].append([0.5] * draw(st.sampled_from([0, 1, 3])))
-    elif fault == "feature":
-        bag["instances"][-1][draw(st.integers(0, 1))] = draw(NOT_A_NUMBER)
-    elif fault == "boolean":  # among numbers, which np.array would read as 1.0 / 0.0
-        bag["instances"][-1][draw(st.integers(0, 1))] = draw(st.booleans())
+    bag_index = draw(st.integers(0, 1))
+    record = dataset["bags"][bag_index]
+    rows = np.array(VALID_ROWS[record["id"]]).ravel()
+    fault = draw(st.sampled_from(["rows", "packing", "list", "instances", "record", "integer",
+                                  "cut",
+                                  *(["checkpoint-integer", "checkpoint-list",
+                                     "checkpoint-packing", "checkpoint-cut"]
+                                    if command == "eval" else [])]))
+    if fault == "rows":  # a row of the wrong length: a count feature_dim does not divide
+        record["instances"] = jsonio.pack(np.append(rows, [0.5] * draw(st.sampled_from([1, 3]))))
+    elif fault == "packing":
+        record["instances"] = draw(misspacked(rows))
+    elif fault == "list":
+        record["instances"] = draw(st.sampled_from([
+            rows.tolist(), np.reshape(rows, (-1, 2)).tolist(), as_list(draw, rows)]))
     elif fault == "instances":
-        bag["instances"] = draw(NOT_A_LIST)
+        record["instances"] = draw(NOT_PACKED)
     elif fault == "record":
-        dataset["bags"][draw(st.integers(0, 1))] = draw(NOT_A_LIST.filter(
-            lambda v: not isinstance(v, dict)))
+        dataset["bags"][bag_index] = draw(NOT_PACKED.filter(lambda v: not isinstance(v, dict)))
     elif fault == "integer":
-        field = draw(st.sampled_from(["feature_dim", "num_classes", "label", "instance_labels"]))
-        owner = dataset if field in ("feature_dim", "num_classes") else dataset["bags"][0]
+        field = draw(st.sampled_from(["format_version", "feature_dim", "num_classes", "label",
+                                      "instance_labels"]))
+        owner = dataset["bags"][0] if field in ("label", "instance_labels") else dataset
         if field == "instance_labels":
             owner[field][draw(st.integers(0, 1))] = "@"
         else:
             owner[field] = "@"
     elif fault == "checkpoint-integer":
         doc = json.loads(checkpoint)
-        if draw(st.booleans()):
-            doc["seed"] = "@"
-        else:
+        field = draw(st.sampled_from(["format_version", "seed", "dims"]))
+        if field == "dims":
             doc["dims"][draw(st.sampled_from(sorted(doc["dims"])))] = "@"
+        else:
+            doc[field] = "@"
         checkpoint = with_raw(doc, draw(NOT_AN_INT))
-    elif fault in ("checkpoint-boolean", "checkpoint-string"):  # np.asarray reads 1.0, 1.5
+    elif fault in ("checkpoint-list", "checkpoint-packing"):
         doc = json.loads(checkpoint)
-        values = doc["params"][draw(st.sampled_from(sorted(doc["params"])))]
-        if isinstance(values[0], list):
-            values = values[draw(st.integers(0, len(values) - 1))]
-        values[draw(st.integers(0, len(values) - 1))] = draw(
-            st.booleans() if fault == "checkpoint-boolean" else st.sampled_from(["1.5", "0"]))
+        name = draw(st.sampled_from(sorted(doc["params"])))
+        values = jsonio.float_array(doc["params"][name], name)
+        if fault == "checkpoint-list":
+            doc["params"][name] = as_list(draw, values)
+        elif draw(st.booleans()):  # a parameter of the wrong size
+            size = values.size + draw(st.sampled_from([-1, 1]))
+            doc["params"][name] = jsonio.pack(np.resize(values, size))
+        else:
+            doc["params"][name] = draw(misspacked(values))
         checkpoint = json.dumps(doc)
-    # packing a bag's instances would hide a fault in them
-    layouts = [1, 2] if fault in ("ragged", "feature", "boolean", "instances") else [1, 2, 3]
-    text = dataset_text(dataset, draw(st.sampled_from(layouts), label="layout"), draw(NOT_AN_INT))
+    text = dataset_text(dataset, draw(NOT_AN_INT))
     if fault == "cut":
         text = text[:draw(st.integers(0, text.rindex("}")))]
     elif fault == "checkpoint-cut":

@@ -22,7 +22,6 @@ from acmil.model import ModelDims, init_model, load_checkpoint, save_checkpoint
 from acmil.rng import Rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
-DATASET_V1, DATASET_V2 = FIXTURES / "dataset_v1.json", FIXTURES / "dataset_v2.json"
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e16, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
 PACKED_EXTREMES = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                    1.7976931348623157e308, -1.7976931348623157e308]
@@ -53,6 +52,14 @@ def test_packed_arrays_reload_bit_exactly(arr):
     # the values in C order as little-endian float64, whatever the input's layout
     for variant in (arr.astype(">f8"), np.asfortranarray(arr), back.reshape(arr.shape)):
         assert jsonio.pack(variant) == text
+
+
+@pytest.mark.parametrize("value, kind", [([0.5, 1.5], "an array"), ([[0.5]], "an array"),
+                                         (1.5, "a number"), (True, "a boolean"),
+                                         (None, "null"), ({}, "an object")])
+def test_a_value_that_is_not_a_packed_string_is_refused_by_name(value, kind):
+    with pytest.raises(DataFormatError, match=f"^a: expected a packed string, got {kind}$"):
+        jsonio.float_array(value, "a")
 
 
 def test_mixed_and_non_finite_rows():
@@ -151,21 +158,21 @@ def same(a, b) -> bool:
     return a == b
 
 
-def json_outcome(text: str, object_hook=None, line: int = 1):
+def json_outcome(text: str, line: int = 1):
     """What the reader must give for ``text`` starting on line ``line`` of a file:
     the value, or the error line without the file name."""
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         return (f"malformed JSON at line {line + exc.lineno - 1} column {exc.colno}: "
                 f"{exc.msg}")
 
 
-def load_outcome(path, line: int = 1, object_hook=None):
+def load_outcome(path, line: int = 1):
     try:
         if line == 1:
-            return jsonio.load(path, object_hook=object_hook)
-        return jsonio.loads(path.read_bytes(), path, object_hook, line=line)
+            return jsonio.load(path)
+        return jsonio.loads(path.read_bytes(), path, line=line)
     except DataFormatError as exc:
         assert str(exc).startswith(f"{path}: ")
         return str(exc)[len(f"{path}: "):]
@@ -176,20 +183,15 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("reader") / "doc.json"
 
 
-def hooked(obj):
-    return ["hooked", obj]
-
-
 @settings(deadline=None, max_examples=150)
-@given(doc=DOCUMENTS, indent=st.sampled_from([1, 2, "\t"]), ascii_only=st.booleans(),
-       hook=st.sampled_from([None, hooked]))
-def test_the_reader_equals_json_loads(scratch, doc, indent, ascii_only, hook):
+@given(doc=DOCUMENTS, indent=st.sampled_from([1, 2, "\t"]), ascii_only=st.booleans())
+def test_the_reader_equals_json_loads(scratch, doc, indent, ascii_only):
     for text in (json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii_only),
                  json.dumps(doc, indent=indent, ensure_ascii=ascii_only)):
         scratch.write_text(text, encoding="utf-8")
-        expected = json.loads(text, object_hook=hook)
+        expected = json.loads(text)
         for line in LINES:
-            assert same(load_outcome(scratch, line, hook), expected), line
+            assert same(load_outcome(scratch, line), expected), line
 
 
 @st.composite
@@ -225,15 +227,6 @@ def test_top_level_values_and_faults_read_as_json_loads_reads_them(scratch, text
     assert same(load_outcome(scratch, line), json_outcome(text, line=line))
 
 
-def test_the_object_hook_sees_objects_innermost_first_and_the_top_level_last(scratch):
-    text = json.dumps({"a": {"b": {"c": {}}}, "d": [{"e": 1}, [{"f": {}}]], "g": {}})
-    scratch.write_text(text)
-    seen, expected = [], []
-    json.loads(text, object_hook=lambda o: expected.append(list(o)) or o)
-    jsonio.load(scratch, object_hook=lambda o: seen.append(list(o)) or o)
-    assert seen == expected and seen[-1] == ["a", "d", "g"]
-
-
 @pytest.mark.parametrize("text", [
     '{"a": [1, 2],\n "b": [3,' + " \n" * 40 + "]}",
     '[{"a": 1,' + "\t\n" * 40 + "}]",
@@ -243,11 +236,11 @@ def test_the_object_hook_sees_objects_innermost_first_and_the_top_level_last(scr
 def test_a_fault_placed_at_the_last_comma_keeps_its_line_and_column(tmp_path, text, line):
     # from Python 3.13 json.loads places a trailing comma at the comma, lines
     # before the bracket that ends the text; the reader keeps that place
-    def loads(s, object_hook=None):
+    def loads(s):
         comma = re.search(r",[ \t\n\r]*[\]}]", s)
         if comma:
             raise json.JSONDecodeError("Illegal trailing comma", s, comma.start())
-        return json.loads(s, object_hook=object_hook)
+        return json.loads(s)
 
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -288,17 +281,18 @@ def small_files(tmp_path_factory):
     model = init_model(ModelDims(4, 5, 3, 2, 2), Rng.stream(0, 0), seed=0)
     save_checkpoint(model, checkpoint, config={"epochs": 1})
     return {"dataset": (load_dataset, dataset.read_bytes()),
-            "dataset_v1": (load_dataset, DATASET_V1.read_bytes()),
-            "dataset_v2": (load_dataset, DATASET_V2.read_bytes()),
-            "checkpoint": (load_checkpoint, checkpoint.read_bytes())}
+            "dataset_fixture": (load_dataset, (FIXTURES / "dataset_v3.json").read_bytes()),
+            "checkpoint": (load_checkpoint, checkpoint.read_bytes()),
+            "checkpoint_fixture": (load_checkpoint,
+                                   (FIXTURES / "checkpoint_v2.json").read_bytes())}
 
 
 @settings(deadline=None, max_examples=300)
-@given(kind=st.sampled_from(["dataset", "dataset_v1", "dataset_v2", "checkpoint"]),
+@given(kind=st.sampled_from(["dataset", "dataset_fixture", "checkpoint", "checkpoint_fixture"]),
        data=st.data())
 def test_a_file_cut_before_its_closing_brace_is_a_data_format_error(
         small_files, tmp_path_factory, kind, data):
-    # a version-2 or 3 dataset cut at a line boundary falls short of its bag count
+    # a dataset cut at a line boundary falls short of its bag count
     loader, whole = small_files[kind]
     offset = data.draw(st.integers(0, whole.rindex(b"}")), label="offset")
     path = tmp_path_factory.getbasetemp() / "cut.json"

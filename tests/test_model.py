@@ -1,6 +1,7 @@
 """Parameter layout, initialisation and checkpoint compatibility."""
 
 import hashlib
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from acmil.mil import StkimConfig, mba_forward
 from acmil.model import ModelDims, Params, init_model, load_checkpoint, save_checkpoint
 from acmil.rng import Rng
 
-FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE, FIXTURE_V1 = FIXTURES / "checkpoint_v2.json", FIXTURES / "checkpoint_v1.json"
 
 
 @pytest.mark.parametrize(
@@ -26,7 +28,7 @@ FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v1.json"
 )
 def test_initial_parameters_are_pinned(branches, n_tensors, n_values, digest):
     # the digests were taken before the parameters moved into one flat
-    # buffer: draw order, values and v1 tensor order must not move
+    # buffer: draw order, values and checkpoint tensor order must not move
     model = init_model(ModelDims(32, 64, 128, branches, 2), Rng.stream(0, 0), "relu", seed=0)
     params = model.parameters()
     assert len(params) == n_tensors
@@ -70,27 +72,23 @@ def test_first_nonfinite_names_the_tensor():
 
 
 def test_checkpoint_from_before_the_flat_layout_round_trips(tmp_path):
-    # written by the per-branch implementation after three Adam steps
+    # written by the per-branch implementation after three Adam steps, as 17-digit
+    # floats (version 1), and re-saved packed (version 2) by the last release that read
+    # version 1: the packed values are the 17-digit ones bit for bit, in the same order
     model, cfg = load_checkpoint(FIXTURE)
     assert cfg["batch_size"] == 1  # configs are stored verbatim
-    doc = jsonio.load(FIXTURE)
+    v1 = json.loads(FIXTURE_V1.read_text())
+    assert [name for name, _ in model.parameters()] == list(v1["params"])
     for name, p in model.parameters():
-        assert np.array_equal(p, doc["params"][name])
-    # the fixture's 17-digit floats re-save packed, bit-equal and in v1 order,
-    # and that re-save round-trips byte-identically
-    out, again = tmp_path / "resaved.json", tmp_path / "again.json"
-    save_checkpoint(model, out, config=cfg)
-    packed = jsonio.load(out)
-    assert packed["format_version"] == 2 and list(packed["params"]) == list(doc["params"])
+        assert p.tobytes() == np.array(v1["params"][name], np.float64).tobytes()
+    packed = jsonio.load(FIXTURE)
+    assert packed["format_version"] == 2 and v1["format_version"] == 1
     assert {k: v for k, v in packed.items() if k not in ("format_version", "params")} == {
-        k: v for k, v in doc.items() if k not in ("format_version", "params")}
-    for name, values in doc["params"].items():
-        want = np.array(values, np.float64)
-        assert jsonio.float_array(packed["params"][name], name).tobytes() == want.tobytes()
-    resaved, resaved_cfg = load_checkpoint(out)
-    assert resaved.flat.tobytes() == model.flat.tobytes()
-    save_checkpoint(resaved, again, config=resaved_cfg)
-    assert again.read_bytes() == out.read_bytes()
+        k: v for k, v in v1.items() if k not in ("format_version", "params")}
+    # load -> save reproduces the fixture's bytes
+    out = tmp_path / "resaved.json"
+    save_checkpoint(model, out, config=cfg)
+    assert out.read_bytes() == FIXTURE.read_bytes()
 
     # and it computes what it computed when it was written
     bag = Bag(id="probe", instances=Rng.stream(21, 99).normal_array((9, 5)), label=0)
