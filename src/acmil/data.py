@@ -293,7 +293,7 @@ def _header(doc) -> tuple[int, int, dict, list[str]]:
 def _bag(rec, feature_dim: int) -> Bag:
     """One decoded bag record as a Bag; its packed instances become rows of
     ``feature_dim`` values."""
-    bag_id = str(rec["id"])
+    bag_id = decode(rec["id"], str, "bag id")
     features = jsonio.float_array(rec["instances"], f"bag {bag_id!r} instances")
     if features.size % feature_dim:
         raise DataFormatError(f"bag {bag_id!r} holds {features.size} packed "
@@ -324,7 +324,8 @@ def load_dataset(path) -> Dataset:
             with _faults_in(path):
                 bags.append(_bag(rec, feature_dim))
                 if "split" in rec:
-                    split_of[bags[-1].id] = str(rec["split"])
+                    split_of[bags[-1].id] = decode(rec["split"], str,
+                                                   f"bag {bags[-1].id!r} split")
     with _faults_in(path):
         if decode(doc["bags"], int, "bags") != len(bags):
             raise DataFormatError(f"the header declares {doc['bags']} bags, "

@@ -92,6 +92,9 @@ def float_array(value, name: str) -> np.ndarray:
         raw = base64.b64decode(value, validate=True)
     except ValueError as exc:  # a character outside the alphabet, bad padding
         raise DataFormatError(f"{name}: not packed float64 ({exc})") from exc
+    if len(value) != 4 * -(-len(raw) // 3):  # b64decode ignores excess padding
+        raise DataFormatError(f"{name}: not packed float64 ({len(value)} characters "
+                              f"for {len(raw)} bytes)")
     if len(raw) % 8:
         raise DataFormatError(f"{name}: {len(raw)} packed bytes, not a multiple of 8")
     return np.frombuffer(raw, "<f8").astype(np.float64)

@@ -11,7 +11,7 @@ instance labels as a binary localization AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,11 +181,11 @@ class MetricsReport:
     v_measure: float | None = None
     instance_localization_auc: float | None = None
     n_bags: int = 0
-    extras: dict = field(default_factory=dict)
+    mean_branch_heatmap_cosine: float | None = None  # None for one branch
     loss: LossBreakdown | None = None  # mean over the bags; not in to_dict or the summary
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "macro_auc": self.macro_auc,
             "macro_f1": self.macro_f1,
             "per_class_auc": self.per_class_auc,
@@ -195,9 +195,8 @@ class MetricsReport:
             "v_measure": self.v_measure,
             "instance_localization_auc": self.instance_localization_auc,
             "n_bags": self.n_bags,
+            "mean_branch_heatmap_cosine": self.mean_branch_heatmap_cosine,
         }
-        doc.update(self.extras)
-        return doc
 
     def summary_header(self) -> list[str]:
         cols = ["n_bags", "macro_auc", "macro_f1", "mean_attention_entropy"]

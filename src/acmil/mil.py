@@ -19,11 +19,12 @@ one product, and the trace's gates view it until the next forward pass with
 that workspace, or until ``backward`` consumes them: it overwrites them with
 their gradient and sets the trace's ``gates`` to None.  Otherwise the rows
 are split into the fewest near-equal blocks whose gates fit it, and each
-block covers all M branches in one product; evaluation does this for large
-bags, so its gate memory is the workspace, not 2·N·M·L values.  Such a trace
-keeps no gates, so it is forward-only: ``backward`` cannot run on it.  The embedding nonlinearity
-runs in place, so no trace keeps the pre-activations; ``backward`` reads
-the ReLU's derivative off H.
+block covers all M branches in one product.  Evaluation scores every bag
+this way in a buffer of ``gate_block_values``, so its gate memory is that
+buffer, not 2·N·M·L values.  A trace scored in more than one block keeps no
+gates, so it is forward-only: ``backward`` cannot run on it.  The embedding
+nonlinearity runs in place, so no trace keeps the pre-activations;
+``backward`` reads the ReLU's derivative off H.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
@@ -138,7 +139,6 @@ class ForwardTrace:
     branch_probs: np.ndarray  # (M, C)
     heatmap: np.ndarray  # (N,) mean of branch attentions
     bag_embedding: np.ndarray  # (E,)
-    bag_logits: np.ndarray  # (C,)
     bag_probs: np.ndarray  # (C,)
 
     @property
@@ -159,23 +159,17 @@ def _embed(bag: Bag, model: Model) -> np.ndarray:
     return relu(h, out=h) if model.activation == "relu" else h
 
 
-# 1 MiB of gates: the rows of a bag scored in blocks, all M branches at a time
+# 1 MiB of gates: the rows of a bag scored at evaluation, all M branches at a time
 GATE_BLOCK_VALUES = 2**17
 
 
-def gate_values(model: Model, n: int, limit: int | None = None) -> int:
-    """The size of the gate buffer a bag of ``n`` instances is scored with: all
-    of its 2·N·M·L gates, or, if they exceed a ``limit``, ``GATE_BLOCK_VALUES``
-    or three rows of gates if more, in which the bag is scored in row blocks.
-    From three rows on no block is a single row, which BLAS computes as a
-    vector product that rounds differently from the same row in a matrix."""
-    row = 2 * model.dims.branches * model.dims.attn_dim
-    return n * row if limit is None or n * row <= limit else max(GATE_BLOCK_VALUES, 3 * row)
-
-
-def gate_workspace(model: Model, bags, limit: int | None = None) -> np.ndarray:
-    """A flat buffer for the ``gate_values`` of the largest of ``bags``."""
-    return np.empty(max(gate_values(model, bag.n_instances, limit) for bag in bags))
+def gate_block_values(model: Model) -> int:
+    """The size of the gate buffer every bag is scored in at evaluation, a block of
+    rows at a time: ``GATE_BLOCK_VALUES``, or three rows of all M branches' gates if
+    more.  From three rows on no block of a bag of two or more rows is a single row,
+    which BLAS computes as a vector product that rounds differently from the same
+    row in a matrix."""
+    return max(GATE_BLOCK_VALUES, 3 * 2 * model.dims.branches * model.dims.attn_dim)
 
 
 def _gated_scores(h: np.ndarray, model: Model, workspace: np.ndarray | None = None
@@ -265,8 +259,8 @@ def mba_forward(
     branch order; ``frozen_masks`` (M, N) replays recorded masks instead.
     With one branch and masking off this is exactly the classic single-head
     gated-attention pipeline.  A flat float64 ``workspace`` of at least
-    2·M·L values (see ``gate_workspace``) holds the gates instead of a new
-    array; one of fewer than 2·N·M·L scores the bag in row blocks and
+    2·M·L values (see ``gate_block_values``) holds the gates instead of a
+    new array; one of fewer than 2·N·M·L scores the bag in row blocks and
     leaves a forward-only trace, without gates.
     """
     h = _embed(bag, model)
@@ -278,8 +272,7 @@ def mba_forward(
     branch_logits = np.einsum("mce,me->mc", model.head_w, branch_embeddings) + model.head_b
     heatmap = attention.mean(axis=0)
     bag_embedding = heatmap @ h
-    bag_logits = model.bag_head_w @ bag_embedding + model.bag_head_b
-    bag_probs = softmax(bag_logits)
+    bag_probs = softmax(model.bag_head_w @ bag_embedding + model.bag_head_b)
     require_finite(bag_probs, "bag probabilities")
 
     if np.max(np.abs(bag_embedding - branch_embeddings.mean(axis=0))) > 1e-10:
@@ -296,7 +289,6 @@ def mba_forward(
         branch_probs=softmax(branch_logits),
         heatmap=heatmap,
         bag_embedding=bag_embedding,
-        bag_logits=bag_logits,
         bag_probs=bag_probs,
     )
 

@@ -36,15 +36,14 @@ from .metrics import (
     topk_cumulative,
     v_measure,
 )
-from .mil import StkimConfig, gate_values, gate_workspace, mba_forward
+from .mil import StkimConfig, gate_block_values, mba_forward
 from .model import ACTIVATIONS, Model, ModelDims, Params, init_model
 from .numerics import all_finite, one_blas_thread
 from .rng import Rng
 
 SELECTION_METRICS = ("macro_auc", "macro_f1")
-# 4 MiB of gates: all M=5 branches of a 400-instance bag at L=128 are scored in
-# one product at evaluation, as in training; a larger bag in row blocks of
-# mil.GATE_BLOCK_VALUES (1 MiB), whatever bags share the call
+# 4 MiB of gates: an evaluate call whose largest bag has more gates in all M
+# branches (over 409 instances at M=5, L=128) scores its bags in worker threads
 EVAL_GATE_VALUES = 2**19
 
 _INIT_STREAM = 0
@@ -264,10 +263,10 @@ def train(dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     best_value = -np.inf
     best_epoch = 0
     best_model = model.copy()
-    # one gate buffer for the training steps and each epoch's validation
-    workspace = np.empty(max([gate_values(model, bag.n_instances) for bag in train_bags]
-                             + [gate_values(model, bag.n_instances, EVAL_GATE_VALUES)
-                                for bag in val_bags]))
+    # one gate buffer: all rows of the largest training bag, which backward needs,
+    # and at least the block that each epoch's validation scores in
+    rows = max(bag.n_instances for bag in train_bags)
+    workspace = np.empty(max(rows * 2 * cfg.branches * cfg.attn_dim, gate_block_values(model)))
     t = 0
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg)
@@ -326,10 +325,9 @@ class _BagScore(NamedTuple):
 def _score_bag(bag: Bag, model: Model, cfg: StkimConfig, rng: Rng | None, training: bool,
                topk_list: tuple[int, ...], include_diversity: bool,
                workspace: np.ndarray) -> _BagScore:
-    """One bag's forward pass and its per-bag metrics; ``rng`` is None unless
-    masking is active."""
-    ws = workspace[:gate_values(model, bag.n_instances, EVAL_GATE_VALUES)]
-    trace = mba_forward(bag, model, cfg, rng, training=training, workspace=ws)
+    """One bag's forward pass, in row blocks that fit ``workspace``, and its per-bag
+    metrics; ``rng`` is None unless masking is active."""
+    trace = mba_forward(bag, model, cfg, rng, training=training, workspace=workspace)
     if rng is None and trace.zeroed.any():
         raise AssertionError("masking leaked into validation")
     loss = total_loss(trace, bag.label, include_diversity=include_diversity)
@@ -359,7 +357,6 @@ def evaluate(
     stkim_at_eval: bool = False,
     eval_seed: int = 0,
     topk_list: tuple[int, ...] = (10,),
-    kmeans_seed: int = 0,
     include_diversity: bool = True,
     workspace: np.ndarray | None = None,
 ) -> tuple[MetricsReport, dict]:
@@ -369,19 +366,18 @@ def evaluate(
     test-time-masking ablation), in which case draws come from a stream of
     ``eval_seed``.  The report's ``loss`` is the mean loss breakdown, with
     the diversity term only if ``include_diversity``; training validates
-    each epoch through this pass.  A bag whose M branches' gates fit in
-    ``EVAL_GATE_VALUES`` values is scored in one product, a larger bag in
-    blocks of rows whose gates fit ``mil.GATE_BLOCK_VALUES`` values, with a
-    forward-only trace, whatever bags share the call.
+    each epoch through this pass.  Every bag is scored in blocks of rows
+    whose gates fit a buffer of ``mil.gate_block_values`` values, whatever
+    bags share the call.
 
-    A call whose largest bag exceeds that limit scores its bags in one thread
-    per available CPU, each with its own gate buffer, while OpenBLAS is held
-    at one thread; if OpenBLAS cannot be reached, or masking is active (one
-    random stream drawn in bag order), it scores them in the calling thread.
-    The results are summed in bag order either way, so they are the same.
-    A flat float64 ``workspace`` that holds the gate buffer of the largest
-    bag, as ``gate_values`` sizes it under ``EVAL_GATE_VALUES``, serves the
-    calling thread instead of a new one; it changes no result.
+    A call whose largest bag has more than ``EVAL_GATE_VALUES`` gates in all
+    M branches scores its bags in one thread per available CPU, each with its
+    own gate buffer, while OpenBLAS is held at one thread; if OpenBLAS cannot
+    be reached, or masking is active (one random stream drawn in bag order),
+    it scores them in the calling thread.  The results are summed in bag
+    order either way, so they are the same.  A flat float64 ``workspace`` of
+    at least that buffer's size serves the calling thread instead of a new
+    buffer; it changes no result.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -399,19 +395,19 @@ def evaluate(
     rng = Rng.stream(eval_seed, 3) if masking_active else None
     n = len(bags)
     c = model.dims.classes
-    largest = gate_values(model, max(bag.n_instances for bag in bags))
-    need = max(gate_values(model, bag.n_instances, EVAL_GATE_VALUES) for bag in bags)
+    need = gate_block_values(model)
     if workspace is not None and (workspace.dtype != np.float64 or workspace.size < need):
         raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
-                         f"these bags need {need} float64")
+                         f"evaluation needs {need} float64")
+    dims = model.dims
+    largest = 2 * dims.branches * dims.attn_dim * max(bag.n_instances for bag in bags)
     threads = 1 if masking_active or largest <= EVAL_GATE_VALUES else min(_cpus(), n)
     with one_blas_thread() if threads > 1 else nullcontext(False) as pinned:
         workers = threads if pinned else 1
         # at most `workers` bags are scored at once, so a buffer is always spare
-        spare = [gate_workspace(model, bags, limit=EVAL_GATE_VALUES)
-                 for _ in range(workers - (workspace is not None))]
+        spare = [np.empty(need) for _ in range(workers - (workspace is not None))]
         if workspace is not None:
-            spare.append(workspace)
+            spare.append(workspace[:need])
 
         def score(bag: Bag) -> _BagScore:
             ws = spare.pop()
@@ -449,7 +445,7 @@ def evaluate(
     f1, per_f1 = macro_f1(probs.argmax(axis=1), labels, c)
     vm = None
     if n >= c and len(np.unique(labels)) >= 2:
-        assignments = kmeans(embeddings, c, seed=kmeans_seed)
+        assignments = kmeans(embeddings, c, seed=0)
         _, _, vm = v_measure(assignments, labels)
     report = MetricsReport(
         macro_auc=auc,
@@ -462,11 +458,7 @@ def evaluate(
         instance_localization_auc=float(np.mean(loc_aucs)) if loc_aucs else None,
         n_bags=n,
         loss=LossBreakdown(*(loss_sums / n)),
-        extras={
-            "mean_branch_heatmap_cosine": float(np.mean(pair_cosines))
-            if pair_cosines
-            else None
-        },
+        mean_branch_heatmap_cosine=float(np.mean(pair_cosines)) if pair_cosines else None,
     )
     exports = {"attention": {bag.id: s.heatmap for bag, s in zip(bags, scored)},
                "embeddings": {bag.id: s.embedding for bag, s in zip(bags, scored)}}

@@ -197,7 +197,7 @@ def test_criterion_06_diversity_loss_ablation_direction():
             cfg = TrainConfig(epochs=30, seed=seed, disable_diversity_loss=disable)
             model, _ = train(ds, cfg)
             rep, _ = evaluate(model, test_bags, stkim=cfg.stkim)
-            vals.append(rep.extras["mean_branch_heatmap_cosine"])
+            vals.append(rep.mean_branch_heatmap_cosine)
         return float(np.mean(vals))
 
     with_ld = mean_cosine(disable=False)

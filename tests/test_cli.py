@@ -292,6 +292,9 @@ RAW_DIM = dict(FIXTURE_DOC, dims=dict(FIXTURE_DOC["dims"], feature_dim="@"))
 EIGHT_BAGS = dict(GOOD_DATASET, bags=[
     bag(f"b{i}", i % 2, split, [[0.5, 1.5], [i, -1.0]])
     for i, split in enumerate(["train"] * 4 + ["val"] * 2 + ["test"] * 2)])
+# bag ids that are not strings, which str() would turn into '5' and 'None'
+NUMBER_AND_NULL_IDS = dict(GOOD_DATASET, bags=[bag(5, 0, "train", [[0.5, 1.5]]),
+                                               bag(None, 1, "val", [[1.0, 2.0]])])
 FOUR_CLASS_MODEL_FIVE_CLASS_DATA = dict(GOOD_DATASET, feature_dim=5, num_classes=5, bags=[
     bag("b0", 4, "test", [[0.5] * 5])])
 
@@ -399,6 +402,13 @@ ERROR_CASES = {
     "dataset-warnings-number": ("train", None, None, good_dataset(warnings=["a", 1]), None,
                                 "error:data-format:",
                                 "warnings[1]: expected a string, got a number"),
+    "dataset-id-number-and-null": ("train", None, None, NUMBER_AND_NULL_IDS, None,
+                                   "error:data-format:",
+                                   "bag id: expected a string, got a number"),
+    "dataset-split-null": ("train", None, None,
+                           dict(GOOD_DATASET, bags=[dict(GOOD_DATASET["bags"][0], split=None)]),
+                           None, "error:data-format:",
+                           "bag 'b0' split: expected a string, got null"),
     "dataset-provenance-array": ("train", None, None, good_dataset(provenance=[1, 2]), None,
                                  "error:data-format:",
                                  "provenance: expected an object, got an array"),
@@ -437,6 +447,9 @@ ERROR_CASES = {
                             "error:data-format:", "bag 'b0' instances: not packed float64"),
     "packed-bad-padding": ("train", None, None, packed_dataset(b64(0.5, 1.5)[:-1]), None,
                            "error:data-format:", "bag 'b0' instances: not packed float64"),
+    "packed-excess-padding": ("train", None, None, packed_dataset(b64(*range(6)) + "="), None,
+                              "error:data-format:", "bag 'b0' instances: not packed float64 "
+                                                    "(65 characters for 48 bytes)"),
     "packed-12-bytes": ("train", None, None, packed_dataset("A" * 16), None,
                         "error:data-format:", "bag 'b0' instances: 12 packed bytes, "
                                               "not a multiple of 8"),
@@ -570,7 +583,9 @@ def test_a_diverging_run_prints_only_its_error_line(tiny_data, tmp_path):
 
 # ------------------------------------------------------------ malformed files
 
-VALID_ROWS = {"b0": [[0.5, 1.5], [2.5, -1.0]], "b1": [[1.0, 2.0]]}
+# 4 values pack with padding, 6 without: an "=" after the last character of b1's
+# string is excess padding
+VALID_ROWS = {"b0": [[0.5, 1.5], [2.5, -1.0]], "b1": [[1.0, 2.0], [0.25, -3.0], [4.0, 0.5]]}
 VALID_DATASET = {
     "format": "acmil-dataset", "format_version": 3, "feature_dim": 2, "num_classes": 2,
     "bags": [bag("b0", 0, "train", VALID_ROWS["b0"], instance_labels=[0, 1]),
@@ -585,14 +600,14 @@ NOT_AN_INT = st.sampled_from(["1.5", "true", "1e400"])
 
 @st.composite
 def misspacked(draw, values) -> str:
-    """``values`` packed with one fault: a character put in before the last one (outside
-    the alphabet, or one too many), the last character cut (bad padding), or bytes cut to
-    a count that is not a multiple of 8.  (An ``=`` put after the last character of a
-    string without padding is ignored by ``base64.b64decode``.)"""
+    """``values`` packed with one fault: a character put in anywhere (outside the
+    alphabet, or one too many; an ``=`` after the last character of a string without
+    padding, which ``base64.b64decode`` ignores), the last character cut (bad padding),
+    or bytes cut to a count that is not a multiple of 8."""
     text = jsonio.pack(values)
     how = draw(st.sampled_from(["insert", "padding", "bytes"]))
     if how == "insert":
-        at = draw(st.integers(0, len(text) - 1))
+        at = draw(st.integers(0, len(text)))
         return text[:at] + draw(st.sampled_from(list("*-_ .A+/="))) + text[at:]
     if how == "padding":
         return text[:-1]

@@ -62,6 +62,17 @@ def test_a_value_that_is_not_a_packed_string_is_refused_by_name(value, kind):
         jsonio.float_array(value, "a")
 
 
+@pytest.mark.parametrize("values", [0, 1, 2, 3, 6])
+def test_a_packed_string_with_a_character_after_its_end_is_refused(values):
+    # base64.b64decode ignores an "=" after a string that needs no padding (a
+    # multiple of 3 values), so the loader counts the characters itself
+    text = jsonio.pack(np.arange(float(values)))
+    for extra in "=A":
+        with pytest.raises(DataFormatError, match="^a: not packed float64"):
+            jsonio.float_array(text + extra, "a")
+    assert jsonio.float_array(text, "a").tobytes() == np.arange(float(values)).tobytes()
+
+
 def test_mixed_and_non_finite_rows():
     assert jsonio.dumps([1.0, 2, True, None]) == "[1.0,2,true,null]\n"
     assert jsonio.dumps([]) == "[]\n"

@@ -15,8 +15,7 @@ from acmil.mil import (
     GATE_BLOCK_VALUES,
     ForwardTrace,
     StkimConfig,
-    gate_values,
-    gate_workspace,
+    gate_block_values,
     mba_forward,
     pooling_forward,
     stkim_mask,
@@ -526,22 +525,19 @@ def test_a_workspace_of_one_or_two_rows_scores_a_bag_forward_only(rows):
         assert np.max(np.abs(got.bag_probs - want.bag_probs)) < 1e-12
 
 
-def test_gate_workspace_holds_all_branches_or_one_block_beyond_the_limit():
-    model = tiny_model()  # M=2, L=5: a row of gates is 20 values
-    bags = [random_bag(0, 4, 3), random_bag(1, 10_000, 3)]  # 80 and 200,000 values
-    assert gate_workspace(model, bags).size == 200_000
-    for limit, size in [(GATE_BLOCK_VALUES, GATE_BLOCK_VALUES), (199_999, GATE_BLOCK_VALUES),
-                        (200_000, 200_000), (10**6, 200_000)]:
-        assert gate_workspace(model, bags, limit=limit).size == size
-    for n in (7_000, 10_000, 32_000):  # beyond the limit, one block whatever n
-        assert gate_values(model, n, limit=GATE_BLOCK_VALUES) == GATE_BLOCK_VALUES
-    # M=2, L=40,000: a row is 160,000 values, more than a block, so a bag beyond
-    # the limit gets three rows, and no block of it is a single row
-    wide = tiny_model(0, ModelDims(feature_dim=3, embed_dim=2, attn_dim=40_000, branches=2,
-                                   classes=2))
-    assert gate_values(wide, 3, limit=2**19) == 3 * 160_000  # within the limit
-    for n in (4, 7, 1_000):
-        assert gate_values(wide, n, limit=2**19) == 480_000
+def test_the_evaluation_gate_buffer_is_a_block_or_three_rows_of_gates():
+    # M=2, L=5: a row of all branches' gates is 20 values, and paper dims (M=5,
+    # L=128) 1280 values, of which a block holds 102 rows
+    assert gate_block_values(tiny_model()) == GATE_BLOCK_VALUES == 2**17
+    paper = tiny_model(0, ModelDims(feature_dim=3, embed_dim=2, attn_dim=128, branches=5,
+                                    classes=2))
+    assert gate_block_values(paper) // 1280 == 102
+    # three rows exceed a block from M·L = 21,846 on, so no block is a single row
+    for l, size in [(4_369, GATE_BLOCK_VALUES), (4_370, 3 * 2 * 5 * 4_370),
+                    (40_000, 3 * 2 * 5 * 40_000)]:
+        model = tiny_model(0, ModelDims(feature_dim=3, embed_dim=2, attn_dim=l, branches=5,
+                                        classes=2))
+        assert gate_block_values(model) == size, l
 
 
 def test_a_workspace_too_small_or_not_float64_is_refused():

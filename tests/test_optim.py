@@ -13,7 +13,7 @@ from acmil import jsonio, numerics, optim
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
 from acmil.errors import ConfigError, NumericsError
-from acmil.mil import StkimConfig, gate_values, mba_forward
+from acmil.mil import StkimConfig, gate_block_values, mba_forward
 from acmil.model import ModelDims, Params, init_model
 from acmil.optim import (EVAL_GATE_VALUES, AdamState, TrainConfig, adam_step, cosine_lr,
                          evaluate, train)
@@ -288,30 +288,34 @@ def test_evaluate_report_and_exports_are_pinned(stkim_at_eval):
 
 
 def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
-    # paper dims: a row of all M branches' gates is 1280 values, so a bag of
-    # more than 409 instances exceeds EVAL_GATE_VALUES and is scored in blocks
-    # of at most 102 rows, the others in one product.  511 = 5 * 102 + 1 would
-    # end in a block of one row if split naively, and BLAS computes a one-row
-    # product as a vector product, which rounds differently.
-    model = init_model(ModelDims(8, 64, 128, 5, 2), Rng.stream(0, 0), seed=0)
-    rng = np.random.default_rng(3)
-    bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 8)), label=n % 2)
-            for n in (3, 7, 150, 500, 511, 2200)]
-    _, together = evaluate(model, bags)
-    for bag in bags:
-        _, alone = evaluate(model, [bag])
-        one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
-        assert alone["attention"][bag.id].tobytes() == together["attention"][bag.id].tobytes()
-        assert alone["attention"][bag.id].tobytes() == one_product.heatmap.tobytes()
-        assert (alone["embeddings"][bag.id].tobytes()
-                == together["embeddings"][bag.id].tobytes()
-                == one_product.bag_embedding.tobytes())
+    # paper dims: a row of all M branches' gates is 1280 values, so every bag is
+    # scored in blocks of at most 102 rows, those of 103-409 instances too, whose
+    # gates fit 4 MiB; a call with a bag of over 409 is scored in threads.  511 =
+    # 5 * 102 + 1 would end in a block of one row if split naively, and BLAS
+    # computes a one-row product as a vector product, which rounds differently.
+    # M=5, L=2048: a row is 20,480 values, so a block holds 6 rows.
+    cases = [(ModelDims(8, 64, 128, 5, 2),
+              (3, 7, 102, 103, 150, 204, 205, 307, 409, 500, 511, 2200)),
+             (ModelDims(8, 8, 2048, 5, 2), (1, 2, 5, 6, 7, 13, 19, 31, 44))]
+    for dims, sizes in cases:
+        model = init_model(dims, Rng.stream(0, 0), seed=0)
+        rng = np.random.default_rng(3)
+        bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 8)), label=n % 2)
+                for n in sizes]
+        _, together = evaluate(model, bags)
+        for bag in bags:
+            _, alone = evaluate(model, [bag])
+            one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
+            for kind, want in (("attention", one_product.heatmap),
+                               ("embeddings", one_product.bag_embedding)):
+                assert (alone[kind][bag.id].tobytes() == together[kind][bag.id].tobytes()
+                        == want.tobytes()), (dims, bag.id, kind)
 
 
 def test_a_bag_whose_row_of_gates_exceeds_a_block_is_evaluated_in_blocks_of_rows():
     # M=5, L=16,384: one row of gates is 163,840 values, more than the 2**17 of a
-    # block, and bags of 4 or more exceed EVAL_GATE_VALUES; their buffer holds
-    # three rows, so a bag of 7 is scored in blocks of 2, 2 and 3 rows
+    # block, so the buffer holds three rows: a bag of 3 is one block, and a bag
+    # of 7 is scored in blocks of 2, 2 and 3 rows
     model = init_model(ModelDims(2, 2, 16_384, 5, 2), Rng.stream(0, 0), seed=0)
     rng = np.random.default_rng(5)
     bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 2)), label=n % 2)
@@ -406,13 +410,13 @@ def test_a_workspace_changes_no_evaluation(scoring_threads, sizes):
     bags = mixed_bags(sizes)
     report, exports = evaluate(model, bags, topk_list=(1, 5))
     want = jsonio.dumps([report.to_dict(), exports])
-    need = max(gate_values(model, bag.n_instances, EVAL_GATE_VALUES) for bag in bags)
+    need = gate_block_values(model)
     ws = np.full(need + 3, np.nan)  # a value read from the buffer would show
     report, exports = evaluate(model, bags, topk_list=(1, 5), workspace=ws)
     assert jsonio.dumps([report.to_dict(), exports]) == want
     assert not np.isnan(ws[0])  # the calling thread's buffer
     with pytest.raises(ValueError, match=f"workspace holds {need - 1} float64 values, "
-                                         f"these bags need {need} float64"):
+                                         f"evaluation needs {need} float64"):
         evaluate(model, bags, workspace=np.empty(need - 1))
 
 
