@@ -66,6 +66,14 @@ class SyntheticConfig(Config):
             raise ConfigError("cluster_std and cluster_separation must be positive")
         if self.bags_per_class < 1:
             raise ConfigError("bags_per_class must be >= 1")
+        # the largest bag, and the (means, means, feature_dim) differences that
+        # place the cluster means, each one array
+        means = (self.num_classes - 1) * self.patterns_per_class + self.background_patterns
+        for what, rows in (("instances_max", self.instances_max),
+                           ("patterns_per_class and background_patterns", means * means)):
+            if 8 * rows * self.feature_dim > np.iinfo(np.intp).max:
+                raise ConfigError(f"{what}: {rows} rows of {self.feature_dim} features take "
+                                  "more float64 bytes than an array can index")
 
 
 @dataclass

@@ -11,20 +11,20 @@ One bag flows through as
     Z   = A H                                        (M, E) branch embeddings
     z   = mean_i(A_i) H = mean_i Z_i                 (E,) bag embedding
 
-V and U stack the M branches' (L, E) matrices.  The gates are computed in
-place in the output buffer of a batched product of H with the (2, ML, E)
-stack [V; U]: the head of a caller's flat ``workspace``, or a new array.
-When the workspace holds the gates of all N rows, as in training, that is
-one product, and the trace's gates view it until the next forward pass with
-that workspace, or until ``backward`` consumes them: it overwrites them with
-their gradient and sets the trace's ``gates`` to None.  Otherwise the rows
-are split into the fewest near-equal blocks whose gates fit it, and each
-block covers all M branches in one product.  Evaluation scores every bag
-this way in a buffer of ``gate_block_values``, so its gate memory is that
-buffer, not 2·N·M·L values.  A trace scored in more than one block keeps no
-gates, so it is forward-only: ``backward`` cannot run on it.  The embedding
-nonlinearity runs in place, so no trace keeps the pre-activations;
-``backward`` reads the ReLU's derivative off H.
+V and U stack the M branches' (L, E) matrices.  Every forward pass scores
+the N rows in the fewest near-equal blocks whose gates fit
+``gate_block_values``, a size set by the model's dims alone, each block
+covering all M branches in one batched product of its rows of H with the
+(2, ML, E) stack [V; U], whose output holds the gates, activated in place.
+A flat ``workspace`` that holds all N rows of gates (a new array without
+one) gets each block at its own rows, and the trace's gates view it until
+the next forward pass with that workspace, or until ``backward`` consumes
+them: it overwrites them with their gradient and sets the trace's ``gates``
+to None.  Any other workspace gets each block at its head and leaves a
+forward-only trace, without gates.  Evaluation scores every bag in a
+buffer of one block.  The embedding nonlinearity runs in place, so no
+trace keeps the pre-activations; ``backward`` reads the ReLU's derivative
+off H.
 The mean-of-heatmaps and mean-of-branch-embeddings formulations of z are
 algebraically identical; the trace asserts that identity to 1e-10.
 
@@ -124,7 +124,8 @@ class ForwardTrace:
     """Every intermediate of one bag's forward pass, retained for backward.
 
     Per-branch quantities are stacked along a leading axis of M rows.  A bag
-    scored in row blocks leaves ``gates`` None: the trace is forward-only.
+    scored in a workspace that holds fewer than its N rows of gates leaves
+    ``gates`` None: the trace is forward-only.
     ``backward`` consumes the gates, overwriting them with their gradient, and
     leaves ``gates`` None too, so a trace supports one backward pass.
     """
@@ -159,44 +160,44 @@ def _embed(bag: Bag, model: Model) -> np.ndarray:
     return relu(h, out=h) if model.activation == "relu" else h
 
 
-# 1 MiB of gates: the rows of a bag scored at evaluation, all M branches at a time
+# 1 MiB of gates: a block of a bag's rows, all M branches at a time
 GATE_BLOCK_VALUES = 2**17
 
 
 def gate_block_values(model: Model) -> int:
-    """The size of the gate buffer every bag is scored in at evaluation, a block of
-    rows at a time: ``GATE_BLOCK_VALUES``, or three rows of all M branches' gates if
-    more.  From three rows on no block of a bag of two or more rows is a single row,
-    which BLAS computes as a vector product that rounds differently from the same
-    row in a matrix."""
-    return max(GATE_BLOCK_VALUES, 3 * 2 * model.dims.branches * model.dims.attn_dim)
+    """The gate values of the largest block of rows any bag is scored in:
+    ``GATE_BLOCK_VALUES``, or one row of all M branches' gates if more."""
+    return max(GATE_BLOCK_VALUES, 2 * model.dims.branches * model.dims.attn_dim)
 
 
 def _gated_scores(h: np.ndarray, model: Model, workspace: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None]:
     """(M, N) scores w_i . (T_i * S_i) of every branch, and the (2, N, M, L) gates
     [tanh(H V^T); sigm(H U^T)], or None when ``workspace`` holds fewer than N
-    rows of them.  All N rows are scored in one product if the workspace holds
-    them (a new array without one), else in the fewest blocks of near-equal
-    rows that fit it, each block's gates activated in place there."""
+    rows of them.  The rows are scored in the fewest near-equal blocks that fit
+    ``gate_block_values``, each block's gates activated in place at its own rows
+    of a workspace that holds all N (a new array without one), else at its head."""
     n, m, l = len(h), model.dims.branches, model.dims.attn_dim
     row = 2 * m * l
+    blocks = -(-n // (gate_block_values(model) // row))
+    need = -(-n // blocks) * row
     if workspace is None:
         workspace = np.empty(n * row)
-    elif workspace.dtype != np.float64 or workspace.size < row:
+    elif workspace.dtype != np.float64 or workspace.size < need:
         raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
-                         f"one row of all branches' gates needs {row} float64")
-    blocks = -(-n // (workspace.size // row))
+                         f"a block of gates needs {need} float64")
+    gates = workspace[:n * row].reshape(2, n, m * l) if workspace.size >= n * row else None
     scores = np.empty((m, n))
     for b in range(blocks):
         lo, hi = n * b // blocks, n * (b + 1) // blocks
-        out = workspace[:(hi - lo) * row].reshape(2, hi - lo, m * l)
+        out = (gates[:, lo:hi] if gates is not None
+               else workspace[:(hi - lo) * row].reshape(2, hi - lo, m * l))
         g = np.matmul(h[lo:hi], model.att_vu.transpose(0, 2, 1), out=out)
         np.tanh(g[0], out=g[0])
         sigmoid(g[1], out=g[1])
         t, s = g.reshape(2, hi - lo, m, l)
         np.einsum("nml,nml,ml->mn", t, s, model.att_w, out=scores[:, lo:hi])
-    return scores, g.reshape(2, n, m, l) if blocks == 1 else None
+    return scores, None if gates is None else gates.reshape(2, n, m, l)
 
 
 def stkim_mask(
@@ -258,10 +259,11 @@ def mba_forward(
     One ``stkim_mask`` call masks every branch, drawing from ``rng`` in
     branch order; ``frozen_masks`` (M, N) replays recorded masks instead.
     With one branch and masking off this is exactly the classic single-head
-    gated-attention pipeline.  A flat float64 ``workspace`` of at least
-    2·M·L values (see ``gate_block_values``) holds the gates instead of a
-    new array; one of fewer than 2·N·M·L scores the bag in row blocks and
-    leaves a forward-only trace, without gates.
+    gated-attention pipeline.  The bag is scored in row blocks that fit
+    ``gate_block_values``, whatever the ``workspace``: a flat float64 buffer
+    that holds the gates instead of a new array.  One that holds all
+    2·N·M·L of them keeps them for ``backward``; any other must hold the
+    bag's largest block, and leaves a forward-only trace, without gates.
     """
     h = _embed(bag, model)
     scores, gates = _gated_scores(h, model, workspace)

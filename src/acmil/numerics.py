@@ -15,7 +15,8 @@ loss evaluation.
 
 ``set_blas_threads`` and ``one_blas_thread`` reach the thread count of the
 OpenBLAS that numpy loaded, through ``ctypes``, for callers that run numpy
-in several threads or processes of their own.
+in several threads or processes of their own; ``blas_kernel`` names the
+kernel it picked for this CPU, which sets the last bits of every product.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ def all_finite(arr: np.ndarray) -> bool:
 
 
 @cache
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of the OpenBLAS in this process, or
-    None: another BLAS, or no ``/proc/self/maps`` to find the library in."""
+def _openblas() -> (tuple[Callable[[], int], Callable[[int], None], Callable[[], bytes] | None]
+                    | None):
+    """The (get, set) thread-count functions of the OpenBLAS in this process and
+    its kernel-name function, if it has one, or None: another BLAS, or no
+    ``/proc/self/maps`` to find the library in."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh
@@ -66,7 +69,10 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
                 if get is not None and set_ is not None:
                     get.restype, get.argtypes = ctypes.c_int, []
                     set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    return get, set_
+                    core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                    if core is not None:
+                        core.restype, core.argtypes = ctypes.c_char_p, []
+                    return get, set_, core
     return None
 
 
@@ -74,6 +80,13 @@ def blas_threads() -> int | None:
     """OpenBLAS's thread count, or None if its library cannot be reached."""
     api = _openblas()
     return None if api is None else int(api[0]())
+
+
+def blas_kernel() -> str | None:
+    """The name of the OpenBLAS kernel this process runs (``SkylakeX``,
+    ``Haswell``, ...), or None if its library cannot be reached."""
+    api = _openblas()
+    return None if api is None or api[2] is None else api[2]().decode()
 
 
 def set_blas_threads(n: int) -> int | None:

@@ -375,9 +375,9 @@ def evaluate(
     own gate buffer, while OpenBLAS is held at one thread; if OpenBLAS cannot
     be reached, or masking is active (one random stream drawn in bag order),
     it scores them in the calling thread.  The results are summed in bag
-    order either way, so they are the same.  A flat float64 ``workspace`` of
-    at least that buffer's size serves the calling thread instead of a new
-    buffer; it changes no result.
+    order either way, so they are the same.  A flat float64 ``workspace``
+    serves the calling thread instead of a new buffer; it changes no result,
+    and ``mba_forward`` refuses it if it holds less than a block of a bag.
     """
     if not bags:
         raise ConfigError("evaluate needs at least one bag")
@@ -395,19 +395,14 @@ def evaluate(
     rng = Rng.stream(eval_seed, 3) if masking_active else None
     n = len(bags)
     c = model.dims.classes
-    need = gate_block_values(model)
-    if workspace is not None and (workspace.dtype != np.float64 or workspace.size < need):
-        raise ValueError(f"workspace holds {workspace.size} {workspace.dtype} values, "
-                         f"evaluation needs {need} float64")
     dims = model.dims
     largest = 2 * dims.branches * dims.attn_dim * max(bag.n_instances for bag in bags)
     threads = 1 if masking_active or largest <= EVAL_GATE_VALUES else min(_cpus(), n)
     with one_blas_thread() if threads > 1 else nullcontext(False) as pinned:
         workers = threads if pinned else 1
         # at most `workers` bags are scored at once, so a buffer is always spare
-        spare = [np.empty(need) for _ in range(workers - (workspace is not None))]
-        if workspace is not None:
-            spare.append(workspace[:need])
+        spare = [np.empty(gate_block_values(model)) for _ in range(workers - 1)]
+        spare.append(np.empty(gate_block_values(model)) if workspace is None else workspace)
 
         def score(bag: Bag) -> _BagScore:
             ws = spare.pop()

@@ -104,9 +104,9 @@ class Rng:
         return r * math.cos(theta)
 
     def integers(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("integers() requires n >= 1")
+        """Unbiased integer in [0, n) by rejection sampling, for 1 <= n <= 2^64."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"integers() requires 1 <= n <= 2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

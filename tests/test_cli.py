@@ -351,6 +351,16 @@ ERROR_CASES = {
                             "error:config:", "grid.n_seeds"),
     "gen-data-unknown-key": ("gen-data", {"synthetic": {}, "splits": {}}, None, None, None,
                              "error:config:", "splits"),
+    "gen-data-bag-over-2-to-the-64": ("gen-data", {"synthetic": {"instances_max": 2**65}},
+                                      None, None, None, "error:config:",
+                                      "synthetic.instances_max: 36893488147419103232 rows"),
+    "gen-data-feature-dim-2-to-the-62": ("gen-data", {"synthetic": {"feature_dim": 2**62}},
+                                         None, None, None, "error:config:",
+                                         "more float64 bytes than an array can index"),
+    "gen-data-bags-of-2-to-the-70": ("gen-data", {"synthetic": {"instances_min": 2**70,
+                                                                "instances_max": 2**70}},
+                                     None, None, None, "error:config:",
+                                     "synthetic.instances_max: 1180591620717411303424 rows"),
     "gen-data-string-split-seed": ("gen-data", {"split": {"seed": "x"}}, None, None, None,
                                    "error:config:", "split.seed"),
     "dataset-missing-key": ("train", None, None, NO_FEATURE_DIM, None,

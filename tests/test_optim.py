@@ -1,14 +1,19 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acmil
 from acmil import jsonio, numerics, optim
 from acmil.bags import Bag
 from acmil.data import Dataset, SyntheticConfig, generate_synthetic, split_dataset
@@ -267,15 +272,21 @@ def test_evaluate_is_deterministic():
 
 # sha256 of outputs written before train and evaluate held a gate workspace,
 # which moves the gates, not one arithmetic operation.  They are digests of
-# BLAS results: another BLAS build may change the last bits and the digests.
+# BLAS results, pinned on OpenBLAS's SkylakeX kernel: another kernel or BLAS
+# build may change the last bits and the digests.
 TRAIN_FLAT_SHA256 = "f7a781389453b360dffeaaa6ebea63c412a23c0580a1fc4fbea3f44b68185d39"
 EVAL_SHA256 = {False: "622649cc2137908a5171befe8923d4bcc5aca1d7985aee78176e0d308268a603",
                True: "f0b04ff0268c4cdc4b1e3e18742c57c07446d049a48fa2f80690a6ffc1cbeb56"}
+PINNED_KERNEL = "SkylakeX"
+
+
+def kernel_note() -> str:
+    return f"digest pinned on the {PINNED_KERNEL} kernel; this run used {numerics.blas_kernel()}"
 
 
 def test_trained_parameters_are_pinned():
     model, _ = train(tiny_dataset(), quick_config(epochs=2))
-    assert hashlib.sha256(model.flat.tobytes()).hexdigest() == TRAIN_FLAT_SHA256
+    assert hashlib.sha256(model.flat.tobytes()).hexdigest() == TRAIN_FLAT_SHA256, kernel_note()
 
 
 @pytest.mark.parametrize("stkim_at_eval", [False, True])
@@ -284,16 +295,16 @@ def test_evaluate_report_and_exports_are_pinned(stkim_at_eval):
     report, exports = evaluate(model, tiny_dataset().bags, stkim=StkimConfig(count=3, prob=0.5),
                                stkim_at_eval=stkim_at_eval, eval_seed=1, topk_list=(1, 5))
     text = jsonio.dumps([report.to_dict(), exports])
-    assert hashlib.sha256(text.encode()).hexdigest() == EVAL_SHA256[stkim_at_eval]
+    assert hashlib.sha256(text.encode()).hexdigest() == EVAL_SHA256[stkim_at_eval], kernel_note()
 
 
 def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
     # paper dims: a row of all M branches' gates is 1280 values, so every bag is
-    # scored in blocks of at most 102 rows, those of 103-409 instances too, whose
-    # gates fit 4 MiB; a call with a bag of over 409 is scored in threads.  511 =
-    # 5 * 102 + 1 would end in a block of one row if split naively, and BLAS
-    # computes a one-row product as a vector product, which rounds differently.
-    # M=5, L=2048: a row is 20,480 values, so a block holds 6 rows.
+    # scored in blocks of at most 102 rows, in training (all rows of one buffer)
+    # and in evaluation (the head of a one-block buffer) alike; a call with a bag
+    # of over 409 instances is scored in threads.  511 = 5 * 102 + 1 is split in
+    # near-equal blocks, not in five full ones and a one-row tail.  M=5, L=2048:
+    # a row is 20,480 values, so a block holds 6 rows.
     cases = [(ModelDims(8, 64, 128, 5, 2),
               (3, 7, 102, 103, 150, 204, 205, 307, 409, 500, 511, 2200)),
              (ModelDims(8, 8, 2048, 5, 2), (1, 2, 5, 6, 7, 13, 19, 31, 44))]
@@ -305,26 +316,92 @@ def test_a_bag_is_evaluated_the_same_whatever_bags_share_the_call():
         _, together = evaluate(model, bags)
         for bag in bags:
             _, alone = evaluate(model, [bag])
-            one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
-            for kind, want in (("attention", one_product.heatmap),
-                               ("embeddings", one_product.bag_embedding)):
+            trained = mba_forward(bag, model, StkimConfig(), None, training=False)
+            for kind, want in (("attention", trained.heatmap),
+                               ("embeddings", trained.bag_embedding)):
                 assert (alone[kind][bag.id].tobytes() == together[kind][bag.id].tobytes()
                         == want.tobytes()), (dims, bag.id, kind)
 
 
 def test_a_bag_whose_row_of_gates_exceeds_a_block_is_evaluated_in_blocks_of_rows():
     # M=5, L=16,384: one row of gates is 163,840 values, more than the 2**17 of a
-    # block, so the buffer holds three rows: a bag of 3 is one block, and a bag
-    # of 7 is scored in blocks of 2, 2 and 3 rows
+    # block, so a block is one row, in training and evaluation alike
     model = init_model(ModelDims(2, 2, 16_384, 5, 2), Rng.stream(0, 0), seed=0)
     rng = np.random.default_rng(5)
     bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 2)), label=n % 2)
             for n in (3, 4, 7)]
     _, exports = evaluate(model, bags)
     for bag in bags:
-        one_product = mba_forward(bag, model, StkimConfig(), None, training=False)
-        assert exports["attention"][bag.id].tobytes() == one_product.heatmap.tobytes()
-        assert exports["embeddings"][bag.id].tobytes() == one_product.bag_embedding.tobytes()
+        trained = mba_forward(bag, model, StkimConfig(), None, training=False)
+        assert exports["attention"][bag.id].tobytes() == trained.heatmap.tobytes()
+        assert exports["embeddings"][bag.id].tobytes() == trained.bag_embedding.tobytes()
+
+
+# Scores each bag of the cases in every layout a run uses: a new array of all
+# rows, train's buffer of the largest bag (the gates kept), and evaluate's
+# one-block buffers, alone and in train's buffer as validation does.  Prints the
+# BLAS kernel and thread count, and every bag and output whose bytes differ.
+LAYOUT_SCRIPT = """
+import json
+import numpy as np
+from acmil import numerics
+from acmil.bags import Bag
+from acmil.mil import StkimConfig, gate_block_values, mba_forward
+from acmil.model import ModelDims, init_model
+from acmil.optim import evaluate
+from acmil.rng import Rng
+
+mismatches = []
+for dims, sizes in [(ModelDims(8, 64, 128, 5, 2), (1, 7, 102, 103, 150, 205, 511)),
+                    (ModelDims(8, 8, 2048, 5, 2), range(1, 45))]:
+    model = init_model(dims, Rng.stream(0, 0), seed=0)
+    rng = np.random.default_rng(3)
+    bags = [Bag(id=f"b{n}", instances=rng.standard_normal((n, 8)), label=n % 2)
+            for n in sizes]
+    row = 2 * dims.branches * dims.attn_dim
+    ws = np.empty(max(max(sizes) * row, gate_block_values(model)))
+    _, exports = evaluate(model, bags)
+    _, validated = evaluate(model, bags, workspace=ws)
+    for bag in bags:
+        fresh = mba_forward(bag, model, StkimConfig(), None, training=False)
+        held = mba_forward(bag, model, StkimConfig(), None, training=False, workspace=ws)
+        for what, got, want in [
+                ("gates", held.gates, fresh.gates),
+                ("heatmap", held.heatmap, fresh.heatmap),
+                ("bag embedding", held.bag_embedding, fresh.bag_embedding),
+                ("evaluate heatmap", exports["attention"][bag.id], fresh.heatmap),
+                ("evaluate embedding", exports["embeddings"][bag.id], fresh.bag_embedding),
+                ("validation heatmap", validated["attention"][bag.id], fresh.heatmap),
+                ("validation embedding", validated["embeddings"][bag.id],
+                 fresh.bag_embedding)]:
+            if got is None or got.tobytes() != want.tobytes():
+                mismatches.append(f"M={dims.branches} L={dims.attn_dim} N={bag.n_instances}: "
+                                  f"{what}")
+print(json.dumps({"kernel": numerics.blas_kernel(), "threads": numerics.blas_threads(),
+                  "mismatches": mismatches}))
+"""
+
+
+@pytest.mark.parametrize("coretype, kernel", [("Haswell", "Haswell"), ("Prescott", "Katmai")])
+def test_a_bag_gets_the_same_bytes_in_every_layout_on_other_blas_kernels(coretype, kernel):
+    # OpenBLAS picks its kernel per CPU; on these two a product of a block of rows
+    # rounds differently from the same rows inside a larger product, but at one
+    # BLAS thread it gives the same bytes whatever buffer it writes to.  So with
+    # one row layout a bag gets the same bytes in training, validation and eval.
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(acmil.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LAYOUT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if result["kernel"] is None:
+        pytest.skip("OpenBLAS cannot be reached, so its kernel cannot be forced")
+    if result["kernel"] != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} did not take effect: OpenBLAS runs "
+                    f"its {result['kernel']} kernel")
+    assert result["threads"] == 1
+    assert result["mismatches"] == []
 
 
 def test_evaluating_a_bag_of_32000_instances_holds_no_n_by_l_arrays():
@@ -415,9 +492,10 @@ def test_a_workspace_changes_no_evaluation(scoring_threads, sizes):
     report, exports = evaluate(model, bags, topk_list=(1, 5), workspace=ws)
     assert jsonio.dumps([report.to_dict(), exports]) == want
     assert not np.isnan(ws[0])  # the calling thread's buffer
-    with pytest.raises(ValueError, match=f"workspace holds {need - 1} float64 values, "
-                                         f"evaluation needs {need} float64"):
-        evaluate(model, bags, workspace=np.empty(need - 1))
+    # every bag's largest block is at least its 7 rows of 1280 gates
+    with pytest.raises(ValueError, match=r"workspace holds 8959 float64 values, a block of "
+                                         r"gates needs \d+ float64"):
+        evaluate(model, bags, workspace=np.empty(7 * 1280 - 1))
 
 
 def test_threaded_evaluate_matches_one_worker(scoring_threads, monkeypatch):

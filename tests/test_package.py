@@ -40,6 +40,6 @@ def test_the_readme_states_the_gate_sizes_the_code_uses():
         r"(\d+) (rows|instances) at M=5, L=128", section)}
     assert counts == {"rows": mil.gate_block_values(paper) // 1280,
                       "instances": optim.EVAL_GATE_VALUES // 1280}
-    # three rows of gates exceed a block from M·L = 21,846 on
-    (over,) = re.findall(r"three rows if M·L is over ([\d,]+)", section)
-    assert int(over.replace(",", "")) == mil.GATE_BLOCK_VALUES // 6
+    # one row of gates exceeds a block from M·L = 65,537 on
+    (over,) = re.findall(r"one row of all M\s+branches' gates if M·L is over ([\d,]+)", section)
+    assert int(over.replace(",", "")) == mil.GATE_BLOCK_VALUES // 2

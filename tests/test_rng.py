@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,14 @@ def test_integers_bounds_and_coverage():
     draws = [rng.integers(7) for _ in range(2000)]
     assert min(draws) == 0 and max(draws) == 6
     assert set(draws) == set(range(7))
+
+
+def test_integers_takes_any_n_up_to_two_to_the_64_and_refuses_more():
+    # above 2**64 no 64-bit draw covers the range, so rejection would never end
+    assert Rng(5).integers(2**64) == Rng(5).next_u64()
+    for n in (0, 2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            Rng(5).integers(n)
 
 
 def test_int_range_inclusive():
